@@ -23,6 +23,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 
@@ -153,15 +155,6 @@ func main() {
 		if err != nil {
 			return err
 		}
-		// The ablation partner: the identical benchmark with the executor
-		// forced onto row-at-a-time batches, so the file always carries a
-		// like-for-like columnar-vs-row comparison on the current build.
-		rcfg := cfg
-		rcfg.RowBatches = true
-		rowRes, err := xprs.MeasurePipeline(rcfg, *iters)
-		if err != nil {
-			return err
-		}
 		// One extra observed run of the same query supplies the metrics
 		// snapshot for the payload and, with -trace, the Chrome trace.
 		// MeasurePipeline itself stays unobserved so the perf numbers are
@@ -187,11 +180,6 @@ func main() {
 				AllocsPerOp float64 `json:"allocs_per_op"`
 				BytesPerOp  float64 `json:"bytes_per_op"`
 			} `json:"tuple_at_a_time_baseline"`
-			Ablation struct {
-				Columnar *xprs.PipelineBenchResult `json:"columnar"`
-				Row      *xprs.PipelineBenchResult `json:"row"`
-				Speedup  float64                   `json:"columnar_speedup"`
-			} `json:"columnar_vs_row"`
 			BufferHitRate float64              `json:"buffer_hit_rate"`
 			Repartitions  int64                `json:"repartitions"`
 			Metrics       xprs.MetricsSnapshot `json:"metrics"`
@@ -199,11 +187,6 @@ func main() {
 		payload.Baseline.NsPerOp = 17108129
 		payload.Baseline.AllocsPerOp = 128017
 		payload.Baseline.BytesPerOp = 10026465
-		payload.Ablation.Columnar = res
-		payload.Ablation.Row = rowRes
-		if res.NsPerOp > 0 {
-			payload.Ablation.Speedup = rowRes.NsPerOp / res.NsPerOp
-		}
 		hits, misses := snap.Get("bufferpool.hits"), snap.Get("bufferpool.misses")
 		if hits+misses > 0 {
 			payload.BufferHitRate = float64(hits) / float64(hits+misses)
@@ -238,8 +221,6 @@ func main() {
 		}
 		fmt.Printf("pipeline: %.0f tuples/s, %.0f ns/op, %.0f allocs/op, %.0f B/op (batch=%d) -> %s\n",
 			res.TuplesPerSec, res.NsPerOp, res.AllocsPerOp, res.BytesPerOp, eff, *out)
-		fmt.Printf("pipeline: columnar vs row: %.0f vs %.0f ns/op (%.2fx), %.0f vs %.0f allocs/op\n",
-			res.NsPerOp, rowRes.NsPerOp, payload.Ablation.Speedup, res.AllocsPerOp, rowRes.AllocsPerOp)
 		return nil
 	})
 	run("join", func() error {
@@ -247,7 +228,11 @@ func main() {
 		if err != nil {
 			return err
 		}
-		data, err := json.MarshalIndent(res, "", "  ")
+		payload := struct {
+			Host hostRecord `json:"host"`
+			*xprs.JoinBenchResult
+		}{currentHost(), res}
+		data, err := json.MarshalIndent(payload, "", "  ")
 		if err != nil {
 			return err
 		}
@@ -333,4 +318,34 @@ func parseInts(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
+}
+
+// hostRecord describes the machine and build a benchmark file was
+// measured on.
+type hostRecord struct {
+	CPUModel   string `json:"cpu_model"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	Commit     string `json:"commit"`
+}
+
+// currentHost reads the CPU model from /proc/cpuinfo and the commit from
+// git ("unknown" where either is unavailable; "-dirty" marks a tree
+// with uncommitted changes).
+func currentHost() hostRecord {
+	h := hostRecord{CPUModel: "unknown", NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion: runtime.Version(), Commit: "unknown"}
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPUModel = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	if out, err := exec.Command("git", "describe", "--always", "--dirty").Output(); err == nil {
+		h.Commit = strings.TrimSpace(string(out))
+	}
+	return h
 }

@@ -30,13 +30,17 @@ func BuildIndex(name string, rel *storage.Relation, col int, clustered bool) (*I
 			rel.Schema.Cols[col].Name, rel.Schema.Cols[col].Typ)
 	}
 	idx := &Index{Name: name, Rel: rel, Col: col, Clustered: clustered, Tree: New()}
+	// Physical pages come from the relation's columnar cache; scratch is
+	// only written for generator-backed relations.
+	scratch := storage.NewColBatch(rel.Schema, 0)
 	for p := int64(0); p < rel.NPages(); p++ {
-		tuples, err := rel.PageTuples(p)
+		scratch.Reset()
+		cb, err := rel.PageColsInto(p, scratch)
 		if err != nil {
 			return nil, fmt.Errorf("btree: building %q: %w", name, err)
 		}
-		for s, t := range tuples {
-			idx.Tree.Insert(t.Vals[col].Int, storage.TID{Page: p, Slot: int32(s)})
+		for s, k := range cb.Vecs[col].Ints {
+			idx.Tree.Insert(k, storage.TID{Page: p, Slot: int32(s)})
 		}
 	}
 	return idx, nil

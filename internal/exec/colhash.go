@@ -9,25 +9,87 @@ import (
 	"xprs/internal/storage"
 )
 
-// ColHashTable is the columnar twin of HashTable: the same
-// radix-partitioned, open-addressed design (identical hash function,
-// packed slot layout, heavy-hitter fallback and zero-hash group), but
-// the build tuples of each partition live in one flat columnar batch
-// grouped by key instead of a []Tuple slice. A probe therefore resolves
-// to a (store, start, count) row range, and the join emits by gathering
-// column values — no tuple structs, no Vals slices, no per-match
-// allocation anywhere.
+// The build side of a hash join is a radix-partitioned, open-addressed
+// table. Each build slave hashes its batches into P = 2^k private
+// partition buffers (columnar batches, no mutex on the hot path); when
+// a slave exits, its buffers are handed to the shared table under one
+// short lock. Sealing — which runs once, after the building fragment
+// completes and before any probe — builds a per-partition
+// open-addressed index: linear probing over power-of-two slot arrays,
+// with all build rows of a partition stored grouped by key in one flat
+// columnar batch, so a probe resolves to a (store, start, count) row
+// range and the join emits by gathering column values — no tuple
+// structs, no per-match allocation anywhere. Probes take no lock.
+//
+// The hash function is an odd-multiplier mix, hence a bijection on 32
+// bits: two keys are equal exactly when their hashes are. The table
+// exploits that everywhere. Builders cache each row's hash next to it,
+// so sealing never re-reads key values; the probe index packs each slot
+// into one uint64 — hash in the top half, the key group's flat offset
+// and length in the bottom half — so a probe resolves hit or miss,
+// group start and group length from a single 8-byte load. Hash 0
+// doubles as the empty-slot marker; the one key that hashes to 0 (key
+// 0) lives in a dedicated per-partition group instead of the slot array.
+//
+// Skew handling: a key whose multiplicity exceeds heavyKeyThreshold is
+// moved out of the light groups into a dedicated heavy-hitter group, so
+// the open table's offsets and the per-partition working set stay
+// bounded no matter how skewed the build side is (cf. the join product
+// skew literature: without a fallback, one hot key serializes whatever
+// touches its partition).
 //
 // The flat store is laid out light groups first, then the zero-hash
-// group, then the heavy groups — all ranges in the same batch, so the
-// probe path is uniform. Sealing computes each input row's destination
-// index first (the same two-pass counting scheme sealPartition uses),
-// inverts the permutation, and then gathers rows in destination order:
-// text columns append sequentially into the store's shared buffer, which
-// a scatter could not do.
+// group, then the heavy groups. Sealing computes each input row's
+// destination index first (a two-pass counting scheme), inverts the
+// permutation, and then gathers rows in destination order: text columns
+// append sequentially into the store's shared buffer, which a scatter
+// could not do. Per-key row order is chunk order (the order builders
+// flushed).
 //
-// Per-key row order is chunk order (the order builders flushed), exactly
-// like the row table, so switching layouts never reorders join output.
+// Partition count is a pure wall-clock knob: results, virtual-clock
+// totals and disk statistics are independent of it (the modeled insert
+// and probe CPU charges are per tuple, not per partition), which
+// TestBatchSweepHashPartitions proves at counts 1, 4 and 16.
+
+// DefaultHashPartitions is the build-side partition count when neither
+// the fragment hint nor Engine.HashPartitions picks one.
+const DefaultHashPartitions = 16
+
+// Slot layout: hash(32) | start(24) | count(8).
+const (
+	slotCountBits = 8
+	slotCountMask = 1<<slotCountBits - 1
+	slotStartBits = 24
+	slotHashShift = slotCountBits + slotStartBits
+
+	// heavyMark in the count field tags a heavy-hitter slot whose start
+	// field holds the heavy-group index instead of a flat offset.
+	heavyMark = slotCountMask
+
+	// maxPartTuples bounds one partition's row count so flat offsets
+	// fit the 24-bit start field.
+	maxPartTuples = 1<<slotStartBits - 1
+)
+
+// heavyKeyThreshold is the key multiplicity beyond which a key's build
+// rows move to a dedicated heavy-hitter group (the largest multiplicity
+// the slot's 8-bit inline count can express).
+const heavyKeyThreshold = heavyMark - 1
+
+// hashKey is Fibonacci hashing: the top bits select the partition, the
+// low bits the slot. The multiplier is odd, so the map is a bijection on
+// uint32 — hash equality is key equality.
+func hashKey(k int32) uint32 {
+	return uint32(k) * 0x9E3779B9
+}
+
+// ceilPow2 rounds n up to the next power of two.
+func ceilPow2(n int) int {
+	if n <= 1 {
+		return 1
+	}
+	return 1 << bits.Len32(uint32(n-1))
+}
 
 // colChunk is one flushed columnar build buffer: a dense batch plus the
 // cached hash of each row's key, index-aligned. The hash slice is boxed
@@ -83,8 +145,8 @@ type colPart struct {
 	zeroCount int32
 }
 
-// ColHashTable is the shared-memory columnar hash table a HashOut
-// fragment builds and a columnar HashJoin probe consumes.
+// ColHashTable is the shared-memory hash table a HashOut fragment
+// builds and a HashJoin probe consumes.
 type ColHashTable struct {
 	Schema storage.Schema
 	Col    int
@@ -216,9 +278,9 @@ func (b *ColBuilder) InsertBatch(cb *storage.ColBatch) error {
 }
 
 // Flush publishes the builder's buffers to the shared table. The builder
-// is empty afterwards and may be reused. Flushing after Seal panics, as
-// with the row builder: slaves flush at exit and sealing happens when
-// the last slave completes the fragment.
+// is empty afterwards and may be reused. Flushing after Seal panics:
+// slaves flush at exit and sealing happens when the last slave
+// completes the fragment.
 func (b *ColBuilder) Flush() {
 	if b.n == 0 {
 		return
@@ -288,9 +350,10 @@ func (h *ColHashTable) seal() {
 }
 
 // sealColPartition builds one partition's index and flat columnar store
-// from its flushed chunks. The counting pass and slot layout mirror
-// sealPartition; the scatter pass is replaced by a permutation + inverse
-// + destination-order gather, because text vectors only append.
+// from its flushed chunks: a counting pass fills the slot counts, a
+// destination pass assigns every row its flat index, and the inverse
+// permutation gathers rows in destination order, because text vectors
+// only append.
 func (h *ColHashTable) sealColPartition(chunks []colChunk) colPart {
 	total := 0
 	for _, c := range chunks {
@@ -392,7 +455,7 @@ func (h *ColHashTable) sealColPartition(chunks []colChunk) colPart {
 		}
 	}
 	// Pass 2: compute each input row's destination (advancing the start
-	// fields exactly like the row scatter), then invert.
+	// fields as a counting-sort scatter would), then invert.
 	scr.perm = growI32(scr.perm, total)
 	perm := scr.perm
 	scr.heavyNext = growI32(scr.heavyNext, len(part.heavy))

@@ -253,6 +253,34 @@ func TestMergeJoinQuery(t *testing.T) {
 	}
 }
 
+// TestMergeJoinIndexScanInputError pins, byte for byte, the error a
+// merge join reports when the optimizer hands it an index scan (ordered,
+// but not a sorted temp) as an input. The adhoc-join benchmark tolerates
+// exactly this text as a known defect and fails on any other error, so
+// the wording must not drift.
+func TestMergeJoinIndexScanInputError(t *testing.T) {
+	for _, side := range []string{"left", "right"} {
+		v, eng := testEngine(0)
+		rel := buildShuffledRel(t, eng.Store, "mi", 200, 20)
+		ix, err := btree.BuildIndex("mi_a", rel, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan := &plan.IndexScan{Rel: rel, Index: ix, Lo: 0, Hi: 99}
+		sorted := &plan.Sort{Child: &plan.SeqScan{Rel: buildRel(t, eng.Store, "ms", 100, 50, 20)}, Col: 0}
+		mj := &plan.MergeJoin{Left: scan, Right: sorted, LCol: 0, RCol: 0}
+		if side == "right" {
+			mj.Left, mj.Right = sorted, scan
+		}
+		specs, _ := specFor(t, eng, mj, 0)
+		v.Run(func() { _, err = eng.Run(specs, core.InterAdj, core.Options{}) })
+		want := "exec: merge join " + side + " input is *plan.IndexScan, want sorted FragScan"
+		if err == nil || err.Error() != want {
+			t.Fatalf("%s: error = %v, want %q", side, err, want)
+		}
+	}
+}
+
 func TestNestLoopQuery(t *testing.T) {
 	v, eng := testEngine(128)
 	r1 := buildRel(t, eng.Store, "r1", 60, 60, 24)
@@ -455,8 +483,11 @@ func TestTempHelpers(t *testing.T) {
 	if !ok || lo != 1 || hi != 9 {
 		t.Fatalf("bounds = %d,%d,%v", lo, hi, ok)
 	}
-	if temp.NumChunks() != 1 || len(temp.Chunk(0)) != 5 || temp.Chunk(5) != nil {
+	if view, _, ok := temp.ChunkCols(0, nil); temp.NumChunks() != 1 || !ok || view.N != 5 {
 		t.Fatal("chunking")
+	}
+	if _, _, ok := temp.ChunkCols(5, nil); ok {
+		t.Fatal("chunk past the end")
 	}
 	if n := temp.Finalize(-1); n != 0 {
 		t.Fatal("finalize(-1) sorted")
@@ -468,23 +499,34 @@ func TestTempHelpers(t *testing.T) {
 }
 
 func TestHashTableHelpers(t *testing.T) {
-	h := NewHashTable(storage.NewSchema(storage.Column{Name: "a", Typ: storage.Int4}), 0)
+	schema := storage.NewSchema(storage.Column{Name: "a", Typ: storage.Int4})
+	h := NewColHashTable(nil, schema, 0, DefaultHashPartitions, 1)
+	hb := h.Builder()
+	cb := storage.NewColBatch(schema, 10)
 	for i := int32(0); i < 10; i++ {
-		if err := h.Insert(storage.NewTuple(storage.IntVal(i % 3))); err != nil {
-			t.Fatal(err)
-		}
+		cb.AppendTuple(storage.NewTuple(storage.IntVal(i % 3)))
 	}
+	if err := hb.InsertBatch(cb); err != nil {
+		t.Fatal(err)
+	}
+	hb.Flush()
 	if h.Len() != 10 {
 		t.Fatalf("len = %d", h.Len())
 	}
-	if got := len(h.Probe(0)); got != 4 {
+	h.Seal()
+	if _, _, got := h.ProbeKey(0); got != 4 {
 		t.Fatalf("probe(0) = %d", got)
 	}
-	if got := len(h.Probe(99)); got != 0 {
+	if _, _, got := h.ProbeKey(99); got != 0 {
 		t.Fatalf("probe(99) = %d", got)
 	}
-	if err := h.Insert(storage.Tuple{}); err == nil {
-		t.Fatal("bad insert accepted")
+	if err := hb.InsertBatch(&storage.ColBatch{N: 1}); err == nil {
+		t.Fatal("batch without the hash column accepted")
+	}
+	text := storage.NewColBatch(storage.NewSchema(storage.Column{Name: "s", Typ: storage.Text}), 1)
+	text.AppendTuple(storage.NewTuple(storage.TextVal("x")))
+	if err := hb.InsertBatch(text); err == nil {
+		t.Fatal("text hash column accepted")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"xprs/internal/expr"
 	"xprs/internal/plan"
 	"xprs/internal/storage"
 )
@@ -40,76 +39,70 @@ func benchRows(n int, tag string) []storage.Tuple {
 	return ts
 }
 
+// benchCols converts rows into executor-sized columnar batches.
+func benchCols(rows []storage.Tuple) []*storage.ColBatch {
+	var out []*storage.ColBatch
+	for lo := 0; lo < len(rows); lo += benchBatch {
+		cb := storage.NewColBatch(benchSchema(), benchBatch)
+		for _, t := range rows[lo:min(lo+benchBatch, len(rows))] {
+			cb.AppendTuple(t)
+		}
+		out = append(out, cb)
+	}
+	return out
+}
+
+// buildBenchTable inserts the build batches through a private builder
+// and seals the table.
+func buildBenchTable(b *testing.B, build []*storage.ColBatch) *ColHashTable {
+	ht := NewColHashTable(nil, benchSchema(), 0, DefaultHashPartitions, 1)
+	hb := ht.Builder()
+	for _, cb := range build {
+		if err := hb.InsertBatch(cb); err != nil {
+			b.Fatal(err)
+		}
+	}
+	hb.Flush()
+	ht.Seal()
+	return ht
+}
+
+// probeBench probes every key of the probe batches and counts matches.
+func probeBench(ht *ColHashTable, probe []*storage.ColBatch) int64 {
+	var sink int64
+	for _, cb := range probe {
+		for _, k := range cb.Vecs[0].Ints {
+			_, _, n := ht.ProbeKey(k)
+			sink += int64(n)
+		}
+	}
+	return sink
+}
+
 // BenchmarkHashTableBuildProbe is the full join-kernel cycle: batched
-// inserts through a private builder, seal, then fused batch probes.
+// inserts through a private builder, seal, then lock-free probes.
 func BenchmarkHashTableBuildProbe(b *testing.B) {
-	schema := benchSchema()
-	build := benchRows(benchBuildRows, "build")
-	probe := benchRows(benchProbeRows, "probe")
+	build := benchCols(benchRows(benchBuildRows, "build"))
+	probe := benchCols(benchRows(benchProbeRows, "probe"))
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink int64
 	for b.Loop() {
-		ht := NewHashTableP(schema, 0, DefaultHashPartitions, 1)
-		hb := ht.Builder()
-		hb.Reserve(len(build))
-		for lo := 0; lo < len(build); lo += benchBatch {
-			hi := min(lo+benchBatch, len(build))
-			if err := hb.InsertBatch(build[lo:hi]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		hb.Flush()
-		ht.Seal()
-		matches := make([][]storage.Tuple, 0, benchBatch)
-		for lo := 0; lo < len(probe); lo += benchBatch {
-			hi := min(lo+benchBatch, len(probe))
-			var err error
-			matches, err = ht.ProbeTupleBatch(probe[lo:hi], 0, matches[:0])
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, ms := range matches {
-				sink += int64(len(ms))
-			}
-		}
+		sink += probeBench(buildBenchTable(b, build), probe)
 	}
 	_ = sink
 }
 
 // BenchmarkHashTableProbeBatch isolates the probe side on a sealed
-// table, through the two-step key-extraction API (expr.Int4Keys feeding
-// HashTable.ProbeBatch).
+// table.
 func BenchmarkHashTableProbeBatch(b *testing.B) {
-	schema := benchSchema()
-	build := benchRows(benchBuildRows, "build")
-	probe := benchRows(benchProbeRows, "probe")
-	ht := NewHashTableP(schema, 0, DefaultHashPartitions, 1)
-	hb := ht.Builder()
-	hb.Reserve(len(build))
-	if err := hb.InsertBatch(build); err != nil {
-		b.Fatal(err)
-	}
-	hb.Flush()
-	ht.Seal()
-	keys := make([]int32, 0, benchBatch)
-	matches := make([][]storage.Tuple, 0, benchBatch)
+	ht := buildBenchTable(b, benchCols(benchRows(benchBuildRows, "build")))
+	probe := benchCols(benchRows(benchProbeRows, "probe"))
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink int64
 	for b.Loop() {
-		for lo := 0; lo < len(probe); lo += benchBatch {
-			hi := min(lo+benchBatch, len(probe))
-			var err error
-			keys, err = expr.Int4Keys(probe[lo:hi], 0, keys[:0])
-			if err != nil {
-				b.Fatal(err)
-			}
-			matches = ht.ProbeBatch(keys, matches[:0])
-			for _, ms := range matches {
-				sink += int64(len(ms))
-			}
-		}
+		sink += probeBench(ht, probe)
 	}
 	_ = sink
 }
@@ -141,7 +134,7 @@ func BenchmarkAggEmit(b *testing.B) {
 		{Kind: plan.Min, Col: 0},
 		{Kind: plan.Max, Col: 0},
 	}}
-	st := newAggState(a)
+	st := newAggState(a, nil)
 	partial := make(map[int32][]int64, benchKeyMod)
 	for i := 0; i < benchProbeRows; i++ {
 		k := int32(i) % benchKeyMod
@@ -150,7 +143,7 @@ func BenchmarkAggEmit(b *testing.B) {
 			acc = initAccum(a.Funcs)
 			partial[k] = acc
 		}
-		fold(acc, a.Funcs, storage.NewTuple(storage.IntVal(k)))
+		foldKey(acc, a.Funcs, k)
 	}
 	st.mergeInto(partial)
 	outSchema := storage.NewSchema(

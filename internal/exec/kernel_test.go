@@ -2,9 +2,7 @@ package exec
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
-	"strings"
 	"testing"
 
 	"xprs/internal/core"
@@ -30,61 +28,29 @@ func hashAggPlan(t *testing.T, eng *Engine) plan.Node {
 }
 
 // TestBatchSweepHashPartitions extends the batch-size sweep proof to the
-// radix partition count: identical result multisets, virtual-clock
-// totals and disk statistics at partition counts 1, 4 and 16.
+// radix partition count: at partition counts 1, 4 and 16 the canonical
+// hash shape reproduces its sweep golden — result multiset, virtual-clock
+// totals and disk statistics.
 func TestBatchSweepHashPartitions(t *testing.T) {
-	var base *sweepOutcome
-	var basePartitions int
+	want := sweepGoldens["HashJoinAgg"]
 	for _, parts := range []int{1, 4, 16} {
 		v, eng := testEngine(0)
 		eng.HashPartitions = parts
 		root := hashAggPlan(t, eng)
 		specs, g := specFor(t, eng, root, 0)
 		rep := runOne(t, v, eng, specs, core.InterAdj)
-		finish := make([]string, 0, len(rep.Finish))
-		for id, at := range rep.Finish {
-			finish = append(finish, fmt.Sprintf("%d@%v", id, at))
-		}
-		slices.Sort(finish)
-		got := &sweepOutcome{
-			rows:    canonTuples(rep.Results[g.Root.ID]),
-			elapsed: rep.Elapsed.String(),
-			finish:  strings.Join(finish, " "),
-			disk:    fmt.Sprintf("%+v", rep.Disk),
-		}
-		if base == nil {
-			base, basePartitions = got, parts
-			if len(got.rows) == 0 {
-				t.Fatal("partition sweep is vacuous")
-			}
-			continue
-		}
-		if len(got.rows) != len(base.rows) {
-			t.Fatalf("partitions=%d rows = %d, want %d (partitions=%d)", parts, len(got.rows), len(base.rows), basePartitions)
-		}
-		for i := range got.rows {
-			if got.rows[i] != base.rows[i] {
-				t.Fatalf("partitions=%d row %d = %s, want %s", parts, i, got.rows[i], base.rows[i])
-			}
-		}
-		if got.elapsed != base.elapsed {
-			t.Errorf("partitions=%d elapsed = %s, want %s", parts, got.elapsed, base.elapsed)
-		}
-		if got.finish != base.finish {
-			t.Errorf("partitions=%d finish times = %s, want %s", parts, got.finish, base.finish)
-		}
-		if got.disk != base.disk {
-			t.Errorf("partitions=%d disk stats = %s, want %s", parts, got.disk, base.disk)
+		if got, _ := outcomeOf(rep, g); got != want {
+			t.Errorf("partitions=%d outcome differs from golden:\n got %+v\nwant %+v", parts, got, want)
 		}
 	}
 }
 
 // TestSweepSlaveCountResults pins the kernel outputs against the degree
 // of parallelism: the same query at 1, 3 and 8 processors must produce
-// the identical result multiset (virtual times legitimately differ —
-// that is the point of parallelism).
+// the golden result multiset (virtual times legitimately differ — that
+// is the point of parallelism).
 func TestSweepSlaveCountResults(t *testing.T) {
-	var base []string
+	want := sweepGoldens["HashJoinAgg"]
 	for _, procs := range []int{1, 3, 8} {
 		v := vclock.NewVirtual()
 		disks := diskmodel.New(v, diskmodel.DefaultConfig())
@@ -93,21 +59,8 @@ func TestSweepSlaveCountResults(t *testing.T) {
 		root := hashAggPlan(t, eng)
 		specs, g := specFor(t, eng, root, 0)
 		rep := runOne(t, v, eng, specs, core.InterAdj)
-		rows := canonTuples(rep.Results[g.Root.ID])
-		if base == nil {
-			base = rows
-			if len(base) == 0 {
-				t.Fatal("slave-count sweep is vacuous")
-			}
-			continue
-		}
-		if len(rows) != len(base) {
-			t.Fatalf("procs=%d rows = %d, want %d", procs, len(rows), len(base))
-		}
-		for i := range rows {
-			if rows[i] != base[i] {
-				t.Fatalf("procs=%d row %d = %s, want %s", procs, i, rows[i], base[i])
-			}
+		if got, _ := outcomeOf(rep, g); got.rows != want.rows || got.hash != want.hash {
+			t.Fatalf("procs=%d rows = %d (hash %s), want %d (hash %s)", procs, got.rows, got.hash, want.rows, want.hash)
 		}
 	}
 }
@@ -123,18 +76,38 @@ var twoIntSchema = storage.NewSchema(
 	storage.Column{Name: "t", Typ: storage.Int4},
 )
 
+// taggedBatch builds a build-side batch of (key, tag) rows.
+func taggedBatch(rows ...[2]int32) *storage.ColBatch {
+	cb := storage.NewColBatch(twoIntSchema, len(rows))
+	for _, r := range rows {
+		cb.AppendTuple(tagged(r[0], r[1]))
+	}
+	return cb
+}
+
+// probeTags returns the tags of key's matches in table order (nil on a
+// miss).
+func probeTags(h *ColHashTable, key int32) []int32 {
+	store, start, cnt := h.ProbeKey(key)
+	var tags []int32
+	for m := start; m < start+cnt; m++ {
+		tags = append(tags, store.Vecs[1].Ints[m])
+	}
+	return tags
+}
+
 // TestHashTableDuplicatesAcrossPartitions inserts duplicated keys spread
 // over many partitions through several builders and checks every group
 // comes back complete and in insertion order.
 func TestHashTableDuplicatesAcrossPartitions(t *testing.T) {
-	h := NewHashTableP(twoIntSchema, 0, 16, 4)
+	h := NewColHashTable(nil, twoIntSchema, 0, 16, 4)
 	const keys, dups = 300, 5
-	builders := []*Builder{h.Builder(), h.Builder(), h.Builder()}
+	builders := []*ColBuilder{h.Builder(), h.Builder(), h.Builder()}
 	tag := int32(0)
 	for d := 0; d < dups; d++ {
 		for k := int32(0); k < keys; k++ {
 			b := builders[int(k)%len(builders)]
-			if err := b.InsertBatch([]storage.Tuple{tagged(k, tag)}); err != nil {
+			if err := b.InsertBatch(taggedBatch([2]int32{k, tag})); err != nil {
 				t.Fatal(err)
 			}
 			tag++
@@ -149,65 +122,63 @@ func TestHashTableDuplicatesAcrossPartitions(t *testing.T) {
 	}
 	h.Seal()
 	for k := int32(0); k < keys; k++ {
-		ms := h.Probe(k)
-		if len(ms) != dups {
-			t.Fatalf("probe(%d) = %d matches, want %d", k, len(ms), dups)
+		tags := probeTags(h, k)
+		if len(tags) != dups {
+			t.Fatalf("probe(%d) = %d matches, want %d", k, len(tags), dups)
 		}
-		for i := 1; i < len(ms); i++ {
-			if ms[i-1].Vals[1].Int >= ms[i].Vals[1].Int {
-				t.Fatalf("probe(%d) out of insertion order: tags %d then %d", k, ms[i-1].Vals[1].Int, ms[i].Vals[1].Int)
+		for i := 1; i < len(tags); i++ {
+			if tags[i-1] >= tags[i] {
+				t.Fatalf("probe(%d) out of insertion order: tags %d then %d", k, tags[i-1], tags[i])
 			}
 		}
 	}
-	if got := h.Probe(keys + 7); got != nil {
+	if got := probeTags(h, keys+7); got != nil {
 		t.Fatalf("probe(miss) = %d matches", len(got))
 	}
 }
 
 // TestHashTableEmptyBuild seals a table nothing was inserted into.
 func TestHashTableEmptyBuild(t *testing.T) {
-	h := NewHashTableP(twoIntSchema, 0, 4, 2)
+	h := NewColHashTable(nil, twoIntSchema, 0, 4, 2)
 	h.Seal()
 	if h.Len() != 0 {
 		t.Fatalf("len = %d", h.Len())
 	}
 	for _, k := range []int32{0, 1, -5, 1 << 30} {
-		if got := h.Probe(k); got != nil {
+		if got := probeTags(h, k); got != nil {
 			t.Fatalf("probe(%d) on empty table = %d matches", k, len(got))
 		}
-	}
-	out := h.ProbeBatch([]int32{3, 1, 4}, nil)
-	if len(out) != 3 || out[0] != nil || out[1] != nil || out[2] != nil {
-		t.Fatalf("ProbeBatch on empty table = %v", out)
 	}
 }
 
 // TestHashTableHeavyHitter drives one key past heavyKeyThreshold and
-// checks it lands on the fallback list with every duplicate intact and
-// in insertion order, while light keys stay in the flat slice.
+// checks it lands in a heavy-hitter group with every duplicate intact
+// and in insertion order, while light keys stay in the slot array.
 func TestHashTableHeavyHitter(t *testing.T) {
-	h := NewHashTableP(twoIntSchema, 0, 4, 2)
+	h := NewColHashTable(nil, twoIntSchema, 0, 4, 2)
+	hb := h.Builder()
 	const hot, hotCount = int32(77), heavyKeyThreshold + 200
-	batch := make([]storage.Tuple, 0, 256)
+	var rows [][2]int32
 	tag := int32(0)
 	flush := func() {
-		if err := h.InsertBatch(batch); err != nil {
+		if err := hb.InsertBatch(taggedBatch(rows...)); err != nil {
 			t.Fatal(err)
 		}
-		batch = batch[:0]
+		rows = rows[:0]
 	}
 	for i := 0; i < hotCount; i++ {
-		batch = append(batch, tagged(hot, tag))
+		rows = append(rows, [2]int32{hot, tag})
 		tag++
-		if len(batch) == 256 {
+		if len(rows) == 256 {
 			flush()
 		}
 	}
 	for k := int32(0); k < 50; k++ {
-		batch = append(batch, tagged(k, tag))
+		rows = append(rows, [2]int32{k, tag})
 		tag++
 	}
 	flush()
+	hb.Flush()
 	h.Seal()
 	heavyGroups := 0
 	for _, p := range h.parts {
@@ -216,18 +187,18 @@ func TestHashTableHeavyHitter(t *testing.T) {
 	if heavyGroups != 1 {
 		t.Fatalf("heavy groups = %d, want exactly 1", heavyGroups)
 	}
-	ms := h.Probe(hot)
-	if len(ms) != hotCount {
-		t.Fatalf("probe(hot) = %d, want %d", len(ms), hotCount)
+	tags := probeTags(h, hot)
+	if len(tags) != hotCount {
+		t.Fatalf("probe(hot) = %d, want %d", len(tags), hotCount)
 	}
-	for i := range ms {
-		if ms[i].Vals[1].Int != int32(i) {
-			t.Fatalf("hot match %d has tag %d (insertion order broken)", i, ms[i].Vals[1].Int)
+	for i, tg := range tags {
+		if tg != int32(i) {
+			t.Fatalf("hot match %d has tag %d (insertion order broken)", i, tg)
 		}
 	}
 	for k := int32(0); k < 50; k++ {
-		if k != hot && len(h.Probe(k)) != 1 {
-			t.Fatalf("light key %d = %d matches", k, len(h.Probe(k)))
+		if n := len(probeTags(h, k)); n != 1 {
+			t.Fatalf("light key %d = %d matches", k, n)
 		}
 	}
 }
@@ -237,8 +208,8 @@ func TestHashTableHeavyHitter(t *testing.T) {
 // falls inside the cluster: the linear probe must walk through to an
 // empty slot and report a miss (load <= 1/2 guarantees one exists).
 func TestHashTableProbeWindowTerminates(t *testing.T) {
-	h := NewHashTableP(twoIntSchema, 0, 1, 1)
-	// Two tuples -> capacity 4, mask 3: half the slots occupied, which is
+	h := NewColHashTable(nil, twoIntSchema, 0, 1, 1)
+	// Two rows -> capacity 4, mask 3: half the slots occupied, which is
 	// the tightest packing seal ever produces.
 	k1 := int32(1)
 	// Find a second key landing on the same home slot as k1.
@@ -246,11 +217,13 @@ func TestHashTableProbeWindowTerminates(t *testing.T) {
 	for hashKey(k2)&3 != hashKey(k1)&3 {
 		k2++
 	}
-	if err := h.InsertBatch([]storage.Tuple{tagged(k1, 0), tagged(k2, 1)}); err != nil {
+	hb := h.Builder()
+	if err := hb.InsertBatch(taggedBatch([2]int32{k1, 0}, [2]int32{k2, 1})); err != nil {
 		t.Fatal(err)
 	}
+	hb.Flush()
 	h.Seal()
-	if len(h.Probe(k1)) != 1 || len(h.Probe(k2)) != 1 {
+	if len(probeTags(h, k1)) != 1 || len(probeTags(h, k2)) != 1 {
 		t.Fatal("colliding keys lost")
 	}
 	// Every absent key must terminate with a miss, wherever it hashes —
@@ -260,7 +233,7 @@ func TestHashTableProbeWindowTerminates(t *testing.T) {
 		if k == k1 || k == k2 {
 			continue
 		}
-		if got := h.Probe(k); got != nil {
+		if got := probeTags(h, k); got != nil {
 			t.Fatalf("probe(%d) = %d matches, want miss", k, len(got))
 		}
 		misses++
@@ -323,48 +296,25 @@ func TestModeledSortCmpsIsPure(t *testing.T) {
 	}
 }
 
-// TestPutBatchDropsUndersized is the regression test for re-pooling a
-// buffer that became too small after a mid-run BatchSize change: the
-// pool must not hold buffers getBatch would reject forever.
-func TestPutBatchDropsUndersized(t *testing.T) {
-	_, eng := testEngine(0)
-	eng.BatchSize = 4
-	small := eng.getBatch()
-	if cap(*small) != 4 {
-		t.Fatalf("cap = %d", cap(*small))
-	}
-	eng.BatchSize = 64
-	eng.putBatch(small)
-	if v := eng.batchPool.Get(); v != nil {
-		t.Fatalf("undersized buffer (cap %d) was re-pooled", cap(*v.(*[]storage.Tuple)))
-	}
-	// And a conforming buffer still round-trips. The race-enabled
-	// runtime makes sync.Pool drop a random fraction of Puts, so allow
-	// retries before declaring the buffer rejected.
-	roundTripped := false
-	for i := 0; i < 20 && !roundTripped; i++ {
-		big := eng.getBatch()
-		if cap(*big) != 64 {
-			t.Fatalf("new buffer cap = %d", cap(*big))
-		}
-		eng.putBatch(big)
-		roundTripped = eng.batchPool.Get() != nil
-	}
-	if !roundTripped {
-		t.Fatal("conforming buffer was dropped")
-	}
-}
-
 // TestHashTableInsertAfterSeal pins the misuse diagnostic: the executor
-// never inserts after publication, and the table reports (rather than
-// corrupts) if a future caller does.
+// never publishes build rows after sealing, and the table panics
+// (rather than corrupting its partitions) if a future caller does.
 func TestHashTableInsertAfterSeal(t *testing.T) {
-	h := NewHashTable(twoIntSchema, 0)
-	if err := h.Insert(tagged(1, 0)); err != nil {
+	h := NewColHashTable(nil, twoIntSchema, 0, DefaultHashPartitions, 1)
+	hb := h.Builder()
+	if err := hb.InsertBatch(taggedBatch([2]int32{1, 0})); err != nil {
 		t.Fatal(err)
 	}
+	hb.Flush()
 	h.Seal()
-	if err := h.Insert(tagged(2, 1)); err == nil {
-		t.Fatal("insert after seal accepted")
+	late := h.Builder()
+	if err := late.InsertBatch(taggedBatch([2]int32{2, 1})); err != nil {
+		t.Fatal(err)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("flush after seal accepted")
+		}
+	}()
+	late.Flush()
 }

@@ -6,7 +6,6 @@ import (
 
 	"xprs/internal/btree"
 	"xprs/internal/plan"
-	"xprs/internal/storage"
 )
 
 // Merge-range partitioning: a MergeJoin fragment reads two temps sorted
@@ -28,9 +27,6 @@ type mergeDriver struct {
 	join        *plan.MergeJoin
 	left, right *Temp
 	lcol, rcol  int
-	// slot is the per-slave value arena joined tuples are built in when
-	// the consumer does not retain them.
-	slot int
 }
 
 func newMergeDriver(fr *fragRun, leaf plan.Node) (*mergeDriver, error) {
@@ -57,7 +53,7 @@ func newMergeDriver(fr *fragRun, leaf plan.Node) (*mergeDriver, error) {
 	if left.SortedBy() != mj.LCol || right.SortedBy() != mj.RCol {
 		return nil, fmt.Errorf("exec: merge join inputs not sorted on join columns")
 	}
-	return &mergeDriver{fr: fr, join: mj, left: left, right: right, lcol: mj.LCol, rcol: mj.RCol, slot: fr.newArena()}, nil
+	return &mergeDriver{fr: fr, join: mj, left: left, right: right, lcol: mj.LCol, rcol: mj.RCol}, nil
 }
 
 // keyBounds returns the union of both inputs' key ranges.
@@ -88,7 +84,7 @@ func (d *mergeDriver) splitByLeftQuantiles(lo, hi int32, k int) []btree.Interval
 	if k <= 1 || lo > hi {
 		return []btree.Interval{{Lo: lo, Hi: hi}}
 	}
-	tuples := d.left.Tuples()
+	keys := sortedKeys(d.left, d.lcol)
 	start := d.left.lowerBound(d.lcol, lo)
 	end := d.left.upperBound(d.lcol, hi)
 	n := end - start
@@ -102,7 +98,7 @@ func (d *mergeDriver) splitByLeftQuantiles(lo, hi int32, k int) []btree.Interval
 		if idx >= end {
 			break
 		}
-		b := tuples[idx].Vals[d.lcol].Int
+		b := keys[idx]
 		if b >= hi {
 			break
 		}
@@ -184,7 +180,16 @@ func (d *mergeDriver) repartition(remaining []report, degree int) ([]assignment,
 	return out, nil
 }
 
-// run merges the assigned key intervals, emitting joined tuples through
+// sortedKeys returns a sealed temp's int4 key vector on col (nil when
+// the temp is empty).
+func sortedKeys(t *Temp, col int) []int32 {
+	if cols := t.columns(); cols != nil {
+		return cols.Vecs[col].Ints
+	}
+	return nil
+}
+
+// run merges the assigned key intervals, emitting joined rows through
 // the fragment pipeline, with checkpoints between key groups.
 func (d *mergeDriver) run(sc *slaveCtx) error {
 	a, ok := sc.state.assign.(*mergeAssign)
@@ -192,27 +197,11 @@ func (d *mergeDriver) run(sc *slaveCtx) error {
 		return fmt.Errorf("exec: merge slave got assignment %T", sc.state.assign)
 	}
 	p := d.fr.eng.Params
-	lt := d.left.Tuples()
-	rt := d.right.Tuples()
+	lcols, rcols := d.left.columns(), d.right.columns()
+	lk, rk := sortedKeys(d.left, d.lcol), sortedKeys(d.right, d.rcol)
 	cons := d.fr.root
 	limit := d.fr.emitLimit(cons)
-	bp := sc.getBatch()
-	out := *bp
-	defer func() {
-		*bp = out
-		sc.putBatch(bp)
-	}()
-	flush := func() error {
-		if len(out) == 0 {
-			return nil
-		}
-		err := cons.proc(sc, out)
-		out = out[:0]
-		if !cons.retains {
-			sc.arenaReset(d.slot)
-		}
-		return err
-	}
+	out := sc.colOutBatch(d.fr.drvSlot, d.fr.eng, d.join.OutSchema(), nil)
 	for {
 		if len(a.intervals) == 0 {
 			return nil
@@ -224,34 +213,30 @@ func (d *mergeDriver) run(sc *slaveCtx) error {
 		}
 		li := d.left.lowerBound(d.lcol, iv.Lo)
 		ri := d.right.lowerBound(d.rcol, iv.Lo)
-		// Find the next key group with any tuple in the interval.
+		// Find the next key group with any row in the interval.
 		var key int32
 		switch {
-		case li < len(lt) && lt[li].Vals[d.lcol].Int <= iv.Hi:
-			key = lt[li].Vals[d.lcol].Int
-			if ri < len(rt) && rt[ri].Vals[d.rcol].Int <= iv.Hi && rt[ri].Vals[d.rcol].Int < key {
-				key = rt[ri].Vals[d.rcol].Int
+		case li < len(lk) && lk[li] <= iv.Hi:
+			key = lk[li]
+			if ri < len(rk) && rk[ri] <= iv.Hi && rk[ri] < key {
+				key = rk[ri]
 			}
-		case ri < len(rt) && rt[ri].Vals[d.rcol].Int <= iv.Hi:
-			key = rt[ri].Vals[d.rcol].Int
+		case ri < len(rk) && rk[ri] <= iv.Hi:
+			key = rk[ri]
 		default:
 			a.intervals = a.intervals[1:]
 			continue
 		}
 		// Consume the full group `key` on both sides.
-		lg := d.group(lt, d.lcol, li, key)
-		rg := d.group(rt, d.rcol, ri, key)
-		sc.chargeCPU(p.MergeStepCPU * float64(len(lg)+len(rg)))
-		for _, l := range lg {
-			for _, r := range rg {
+		llo, lhi := group(lk, li, key)
+		rlo, rhi := group(rk, ri, key)
+		sc.chargeCPU(p.MergeStepCPU * float64(lhi-llo+rhi-rlo))
+		for l := llo; l < lhi; l++ {
+			for r := rlo; r < rhi; r++ {
 				sc.chargeCPU(p.EmitCPU)
-				if cons.retains {
-					out = append(out, l.Concat(r))
-				} else {
-					out = append(out, sc.arenaConcat(d.slot, l, r))
-				}
-				if len(out) >= limit {
-					if err := flush(); err != nil {
+				out.AppendJoined(lcols, l, rcols, r)
+				if out.N >= limit {
+					if err := flushOut(sc, cons, out); err != nil {
 						return err
 					}
 				}
@@ -259,7 +244,7 @@ func (d *mergeDriver) run(sc *slaveCtx) error {
 		}
 		// Deliver the group before the checkpoint so adjustments pause
 		// with no buffered output in flight.
-		if err := flush(); err != nil {
+		if err := flushOut(sc, cons, out); err != nil {
 			return err
 		}
 		if key >= iv.Hi {
@@ -279,15 +264,15 @@ func (d *mergeDriver) run(sc *slaveCtx) error {
 	}
 }
 
-// group returns the run of tuples with col == key starting at or after
-// idx.
-func (d *mergeDriver) group(tuples []storage.Tuple, col, idx int, key int32) []storage.Tuple {
-	for idx < len(tuples) && tuples[idx].Vals[col].Int < key {
+// group returns the row range [lo, hi) of the run of keys equal to key
+// starting at or after idx.
+func group(keys []int32, idx int, key int32) (int, int) {
+	for idx < len(keys) && keys[idx] < key {
 		idx++
 	}
 	start := idx
-	for idx < len(tuples) && tuples[idx].Vals[col].Int == key {
+	for idx < len(keys) && keys[idx] == key {
 		idx++
 	}
-	return tuples[start:idx]
+	return start, idx
 }

@@ -91,12 +91,9 @@ type pageSource interface {
 	npages() int64
 	// enqueue reserves the page's IO and returns its availability time.
 	enqueue(sc *slaveCtx, p int64) time.Duration
-	// fetch returns the page's tuples after it became available,
-	// charging per-tuple CPU.
-	fetch(sc *slaveCtx, p int64) ([]storage.Tuple, error)
-	// fetchCols is the columnar twin of fetch: identical charges, but
-	// the page lands as a columnar batch (shared decode cache for
-	// physical pages, the slave's reusable buffer for synthetic ones).
+	// fetchCols returns the page as a columnar batch after it became
+	// available (shared decode cache for physical pages, the slave's
+	// reusable buffer for synthetic ones), charging per-tuple CPU.
 	fetchCols(sc *slaveCtx, p int64) (*storage.ColBatch, error)
 }
 
@@ -111,33 +108,6 @@ func (s *relSource) npages() int64 { return s.rel.NPages() }
 
 func (s *relSource) enqueue(sc *slaveCtx, p int64) time.Duration {
 	return s.fr.eng.Store.EnqueuePage(s.rel, p, sc.rt.Degree() > 1)
-}
-
-func (s *relSource) fetch(sc *slaveCtx, p int64) ([]storage.Tuple, error) {
-	var tuples []storage.Tuple
-	var err error
-	if s.rel.Synthetic() {
-		// Generated relations materialize into the slave's reusable page
-		// buffer; physical relations return the store's shared decoded
-		// page, which must never be fed back as a scratch buffer.
-		tuples, err = s.rel.PageTuplesInto(p, sc.pageBuf[:0])
-		if err == nil {
-			sc.pageBuf = tuples
-		}
-	} else {
-		tuples, err = s.rel.PageTuples(p)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// A slave backend is a synchronous process: its per-page cycle is the
-	// measured sequential cycle 1/C = pageService + tuples·tupleCPU (§3).
-	// Readahead keeps parallel service-time inflation from stretching
-	// that cycle, but never compresses it — so x slaves generate exactly
-	// the x·C_i IO demand the balance-point arithmetic assumes.
-	sc.chargeCPU(s.fr.eng.Params.SeqPageService)
-	sc.chargeCPU(s.perTuple * float64(len(tuples)))
-	return tuples, nil
 }
 
 func (s *relSource) fetchCols(sc *slaveCtx, p int64) (*storage.ColBatch, error) {
@@ -159,6 +129,11 @@ func (s *relSource) fetchCols(sc *slaveCtx, p int64) (*storage.ColBatch, error) 
 	if err != nil {
 		return nil, err
 	}
+	// A slave backend is a synchronous process: its per-page cycle is the
+	// measured sequential cycle 1/C = pageService + tuples·tupleCPU (§3).
+	// Readahead keeps parallel service-time inflation from stretching
+	// that cycle, but never compresses it — so x slaves generate exactly
+	// the x·C_i IO demand the balance-point arithmetic assumes.
 	sc.chargeCPU(s.fr.eng.Params.SeqPageService)
 	sc.chargeCPU(s.perTuple * float64(cb.N))
 	return cb, nil
@@ -174,12 +149,6 @@ type tempSource struct {
 func (s *tempSource) npages() int64 { return s.temp.NumChunks() }
 
 func (s *tempSource) enqueue(*slaveCtx, int64) time.Duration { return 0 }
-
-func (s *tempSource) fetch(sc *slaveCtx, p int64) ([]storage.Tuple, error) {
-	tuples := s.temp.Chunk(p)
-	sc.chargeCPU(s.fr.eng.Params.TempReadCPU * float64(len(tuples)))
-	return tuples, nil
-}
 
 func (s *tempSource) fetchCols(sc *slaveCtx, p int64) (*storage.ColBatch, error) {
 	view, vecs, ok := s.temp.ChunkCols(p, sc.tempVecs)
@@ -344,36 +313,16 @@ func (d *pageDriver) serve(sc *slaveCtx, head inflight) error {
 	sc.flushCPU()
 	d.fr.eng.Clock.SleepUntil(head.avail)
 	bsz := d.fr.eng.batchSize()
-	if d.fr.colRoot != nil {
-		cb, err := d.src.fetchCols(sc, head.page)
-		if err != nil {
-			return err
-		}
-		for lo := 0; lo < cb.N; lo += bsz {
-			hi := lo + bsz
-			if hi > cb.N {
-				hi = cb.N
-			}
-			sc.colView, sc.colViewVecs = cb.Slice(lo, hi, sc.colViewVecs)
-			if err := d.fr.processColBatch(sc, &sc.colView); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	tuples, err := d.src.fetch(sc, head.page)
+	cb, err := d.src.fetchCols(sc, head.page)
 	if err != nil {
 		return err
 	}
-	for len(tuples) > 0 {
-		n := len(tuples)
-		if n > bsz {
-			n = bsz
-		}
-		if err := d.fr.processBatch(sc, tuples[:n]); err != nil {
+	for lo := 0; lo < cb.N; lo += bsz {
+		hi := min(lo+bsz, cb.N)
+		sc.colView, sc.colViewVecs = cb.Slice(lo, hi, sc.colViewVecs)
+		if err := d.fr.processColBatch(sc, &sc.colView); err != nil {
 			return err
 		}
-		tuples = tuples[n:]
 	}
 	return nil
 }
@@ -433,11 +382,4 @@ func (d *pageDriver) run(sc *slaveCtx) error {
 		na.frontier = a.frontier
 		a = na
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,17 +4,15 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"xprs/internal/btree"
-	"xprs/internal/expr"
 	"xprs/internal/obs"
 	"xprs/internal/plan"
 	"xprs/internal/storage"
 )
 
 // The pipeline executes batch-at-a-time: fragments compile to a chain
-// of batchProc closures over fixed-size tuple batches, so interpreter
-// overhead (closure calls, lock round-trips, clock events) is paid per
-// batch instead of per tuple.
+// of colProc closures over columnar batches (colpipe.go), so
+// interpreter overhead (closure calls, lock round-trips, clock events)
+// is paid per batch instead of per tuple.
 //
 // Two invariants keep virtual time independent of the batch size:
 //
@@ -27,29 +25,11 @@ import (
 //     and then its CPU debt. The clock value at every IO point is
 //     therefore a pure function of the work preceding that IO.
 //
-// Batches are read-only views: operators that need a subset (filters)
-// or an expansion (joins) write into scratch buffers from the engine's
-// batch pool, and joined tuples for non-retaining consumers are built
-// in per-operator value arenas owned by the slave, so the hot path
-// allocates only when a buffer first grows.
-
-// batchProc consumes one batch of tuples inside a slave. Batches are
-// read-only; implementations must not mutate ts or hold it past the
-// call (tuple structs may be copied out — their Vals are immutable).
-type batchProc func(sc *slaveCtx, ts []storage.Tuple) error
-
-// consumer is a compiled pipeline stage plus the facts its producer
-// needs: whether it keeps references to fed tuples beyond the call
-// (sinks do; joins and aggregates copy or fold immediately), and
-// whether feeding it can block on IO (a nestloop rescan). Producers
-// heap-allocate joined tuples for retaining consumers and reuse arena
-// memory otherwise; they hand tuples one at a time to blocking
-// consumers so clock positions at IO points stay batch-independent.
-type consumer struct {
-	proc     batchProc
-	retains  bool
-	blocking bool
-}
+// Batches are read-only views apart from their selection vectors:
+// filters narrow a batch through per-slave selection scratch, and
+// emitting operators (joins, the range and merge drivers) append into
+// per-slave output batches recycled through the engine's shape pools,
+// so the hot path allocates only when a buffer first grows.
 
 // fragRun is the runtime of one fragment: the compiled pipeline plus its
 // input temps/hash tables and its output.
@@ -58,14 +38,12 @@ type fragRun struct {
 	frag *plan.Fragment
 
 	// inputs, resolved from the engine's run context at launch
-	temps     map[*plan.Fragment]*Temp
-	hashes    map[*plan.Fragment]*HashTable
-	colHashes map[*plan.Fragment]*ColHashTable
+	temps  map[*plan.Fragment]*Temp
+	hashes map[*plan.Fragment]*ColHashTable
 
-	outTemp    *Temp         // for RootOut / TempOut / SortedOut
-	outHash    *HashTable    // for HashOut on the row path
-	outColHash *ColHashTable // for HashOut on the columnar path
-	agg        *aggState     // non-nil when the fragment root is an Agg
+	outTemp *Temp         // for RootOut / TempOut / SortedOut
+	outHash *ColHashTable // for HashOut
+	agg     *aggState     // non-nil when the fragment root is an Agg
 
 	// Rebind ingredients, fixed at compile time: pooled runtimes recreate
 	// the per-run outputs above from these without recompiling (see
@@ -76,19 +54,12 @@ type fragRun struct {
 	aggNode   *plan.Agg
 
 	// root is the compiled pipeline the drivers feed batches into.
-	root consumer
-	// colRoot is the compiled columnar pipeline; non-nil when the
-	// fragment runs on the columnar path (page drivers then feed columnar
-	// batches instead of tuple batches).
-	colRoot colProc
+	root colConsumer
+	// drvSlot is the per-slave output-batch slot the range and merge
+	// drivers gather their batches in.
+	drvSlot int
 
-	// nArenas counts the per-slave value-arena slots handed out to
-	// emitting operators at compile time.
-	nArenas int
-	// nProbes counts the per-slave probe-scratch slots handed out to
-	// hash joins at compile time.
-	nProbes int
-	// nColOuts and nSels count the per-slave columnar output-batch and
+	// nColOuts and nSels count the per-slave output-batch and
 	// selection-scratch slots handed out at compile time.
 	nColOuts int
 	nSels    int
@@ -119,32 +90,34 @@ func (fr *fragRun) traceInstant(cat, name, detail string) {
 	fr.eng.Trace.Instant(fr.eng.now(), obs.PidTasks, fr.obsTid, cat, name, detail)
 }
 
-// processBatch feeds one batch of driver tuples through the pipeline.
-func (fr *fragRun) processBatch(sc *slaveCtx, ts []storage.Tuple) error {
+// processColBatch feeds one driver batch through the pipeline.
+func (fr *fragRun) processColBatch(sc *slaveCtx, b *storage.ColBatch) error {
 	fr.statBatches.Add(1)
-	fr.statTuplesIn.Add(int64(len(ts)))
+	fr.statTuplesIn.Add(int64(b.N))
 	fr.eng.mBatches.Add(1)
-	fr.eng.mTuples.Add(int64(len(ts)))
-	return fr.root.proc(sc, ts)
+	fr.eng.mTuples.Add(int64(b.N))
+	return fr.root.proc(sc, b)
 }
 
-// newArena reserves a value-arena slot for one emitting operator.
-func (fr *fragRun) newArena() int {
-	s := fr.nArenas
-	fr.nArenas++
+// newColOut reserves a per-slave output-batch slot for one emitting
+// operator.
+func (fr *fragRun) newColOut() int {
+	s := fr.nColOuts
+	fr.nColOuts++
 	return s
 }
 
-// newProbe reserves a probe-scratch slot for one hash join.
-func (fr *fragRun) newProbe() int {
-	s := fr.nProbes
-	fr.nProbes++
+// newSel reserves a per-slave selection-scratch slot (a ping-pong buffer
+// pair) for one filter stage.
+func (fr *fragRun) newSel() int {
+	s := fr.nSels
+	fr.nSels++
 	return s
 }
 
 // emitLimit is the batch size an emitting operator flushes at: one for
-// blocking consumers (see consumer), the engine batch size otherwise.
-func (fr *fragRun) emitLimit(cons consumer) int {
+// blocking consumers (see colConsumer), the engine batch size otherwise.
+func (fr *fragRun) emitLimit(cons colConsumer) int {
 	if cons.blocking {
 		return 1
 	}
@@ -152,11 +125,9 @@ func (fr *fragRun) emitLimit(cons consumer) int {
 }
 
 // newFragRun wires a fragment to its materialized inputs and compiles
-// the pipeline: columnar when the fragment shape supports it (and the
-// engine isn't forced onto row batches), row otherwise.
-func newFragRun(eng *Engine, frag *plan.Fragment, temps map[*plan.Fragment]*Temp, hashes map[*plan.Fragment]*HashTable, colHashes map[*plan.Fragment]*ColHashTable) (*fragRun, error) {
-	fr := &fragRun{eng: eng, frag: frag, temps: temps, hashes: hashes, colHashes: colHashes}
-	useCol := !eng.RowBatches && fr.colSupported()
+// the pipeline.
+func newFragRun(eng *Engine, frag *plan.Fragment, temps map[*plan.Fragment]*Temp, hashes map[*plan.Fragment]*ColHashTable) (*fragRun, error) {
+	fr := &fragRun{eng: eng, frag: frag, temps: temps, hashes: hashes}
 	fr.outSchema = frag.Root.OutSchema()
 	switch frag.Out {
 	case plan.HashOut:
@@ -168,24 +139,13 @@ func newFragRun(eng *Engine, frag *plan.Fragment, temps map[*plan.Fragment]*Temp
 			parts = DefaultHashPartitions
 		}
 		fr.hashParts = parts
-		if useCol {
-			fr.outColHash = NewColHashTable(eng, fr.outSchema, frag.HashCol, parts, eng.Env.NProcs)
-		} else {
-			fr.outHash = NewHashTableP(fr.outSchema, frag.HashCol, parts, eng.Env.NProcs)
-		}
+		fr.outHash = NewColHashTable(eng, fr.outSchema, frag.HashCol, parts, eng.Env.NProcs)
 	default:
 		fr.outTemp = NewTemp(fr.outSchema)
 		fr.outTemp.sortProcs = eng.Env.NProcs
 	}
-	if useCol {
-		croot, err := fr.compileCol(frag.Root, fr.compileColSink(), true, nil)
-		if err != nil {
-			return nil, err
-		}
-		fr.colRoot = croot.proc
-		return fr, nil
-	}
-	root, err := fr.compile(frag.Root, fr.compileSink(), true)
+	fr.drvSlot = fr.newColOut()
+	root, err := fr.compileCol(frag.Root, fr.compileColSink(), true, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -198,24 +158,17 @@ func newFragRun(eng *Engine, frag *plan.Fragment, temps map[*plan.Fragment]*Temp
 // or were released with its query), this run's input maps, and zeroed
 // counters. The compiled closures need no attention — they read all of
 // this through the fragRun pointer at call time.
-func (fr *fragRun) rebind(temps map[*plan.Fragment]*Temp, hashes map[*plan.Fragment]*HashTable, colHashes map[*plan.Fragment]*ColHashTable) {
-	fr.temps, fr.hashes, fr.colHashes = temps, hashes, colHashes
+func (fr *fragRun) rebind(temps map[*plan.Fragment]*Temp, hashes map[*plan.Fragment]*ColHashTable) {
+	fr.temps, fr.hashes = temps, hashes
 	switch fr.frag.Out {
 	case plan.HashOut:
-		if fr.colRoot != nil {
-			fr.outColHash = NewColHashTable(fr.eng, fr.outSchema, fr.frag.HashCol, fr.hashParts, fr.eng.Env.NProcs)
-		} else {
-			fr.outHash = NewHashTableP(fr.outSchema, fr.frag.HashCol, fr.hashParts, fr.eng.Env.NProcs)
-		}
+		fr.outHash = NewColHashTable(fr.eng, fr.outSchema, fr.frag.HashCol, fr.hashParts, fr.eng.Env.NProcs)
 	default:
 		fr.outTemp = NewTemp(fr.outSchema)
 		fr.outTemp.sortProcs = fr.eng.Env.NProcs
 	}
 	if fr.aggNode != nil {
-		fr.agg = newAggState(fr.aggNode)
-		if fr.colRoot != nil {
-			fr.agg.eng = fr.eng
-		}
+		fr.agg = newAggState(fr.aggNode, fr.eng)
 	}
 	fr.statTuplesIn.Store(0)
 	fr.statTuplesOut.Store(0)
@@ -236,365 +189,11 @@ func (fr *fragRun) finalize() {
 		fr.eng.chargeMasterCPU(float64(cmps) * fr.eng.Params.SortCmpCPU)
 	}
 	if fr.outHash != nil {
-		// Seal before publication so every Probe runs lock-free against
+		// Seal before publication so every probe runs lock-free against
 		// immutable partitions. The insert CPU was already charged per
 		// batch; sealing is wall-clock-only work and leaves the virtual
 		// clock untouched.
 		fr.outHash.Seal()
-	}
-	if fr.outColHash != nil {
-		fr.outColHash.Seal()
-	}
-}
-
-// compileSink builds the terminal consumer of the pipeline. Both sinks
-// retain the tuples they are fed (the temp and the hash table keep the
-// Vals slices), so upstream joins heap-allocate what reaches them.
-func (fr *fragRun) compileSink() consumer {
-	if fr.outHash != nil {
-		insertCPU := fr.eng.Params.HashInsertCPU
-		return consumer{retains: true, proc: func(sc *slaveCtx, ts []storage.Tuple) error {
-			sc.chargeCPUPer(insertCPU, len(ts))
-			fr.statTuplesOut.Add(int64(len(ts)))
-			// Each slave partitions into a private builder — no lock per
-			// batch; flushAll hands the buffers to the shared table once at
-			// slave exit.
-			if sc.hb == nil {
-				sc.hb = fr.outHash.Builder()
-			}
-			return sc.hb.InsertBatch(ts)
-		}}
-	}
-	return consumer{retains: true, proc: func(sc *slaveCtx, ts []storage.Tuple) error {
-		fr.statTuplesOut.Add(int64(len(ts)))
-		sc.bufferBatch(ts)
-		return nil
-	}}
-}
-
-// compile builds the batch-processing chain for the subtree rooted at
-// n, feeding cons. The returned consumer is invoked with batches
-// produced by the subtree's driver leaf; atRoot marks the fragment root
-// (where Sort is absorbed into the output).
-func (fr *fragRun) compile(n plan.Node, cons consumer, atRoot bool) (consumer, error) {
-	switch x := n.(type) {
-	case *plan.SeqScan:
-		return fr.compileFilter(x.Filter, cons), nil
-
-	case *plan.IndexScan:
-		return fr.compileFilter(x.Filter, cons), nil
-
-	case *plan.FragScan:
-		// Driver tuples come straight from the temp; no residual filter.
-		return cons, nil
-
-	case *plan.Sort:
-		if !atRoot {
-			return consumer{}, fmt.Errorf("exec: Sort below fragment root")
-		}
-		// The batch path of a sort is plain collection; ordering happens
-		// in finalize.
-		return fr.compile(x.Child, cons, false)
-
-	case *plan.Agg:
-		if !atRoot {
-			return consumer{}, fmt.Errorf("exec: Agg below fragment root")
-		}
-		fr.aggNode = x
-		fr.agg = newAggState(x)
-		foldCPU := fr.eng.Params.HashInsertCPU
-		acc := consumer{proc: func(sc *slaveCtx, ts []storage.Tuple) error {
-			sc.chargeCPUPer(foldCPU, len(ts))
-			sc.accumulateBatch(fr.agg, ts)
-			return nil
-		}}
-		return fr.compile(x.Child, acc, false)
-
-	case *plan.NestLoop:
-		rescan, err := fr.compileRescan(x.Inner)
-		if err != nil {
-			return consumer{}, err
-		}
-		pred := expr.CompilePred(x.Pred)
-		emitCPU := fr.eng.Params.EmitCPU
-		rescanCPU := fr.eng.Params.RescanSetupCPU
-		slot := fr.newArena()
-		outer := consumer{blocking: true, proc: func(sc *slaveCtx, ots []storage.Tuple) error {
-			return fr.nestLoopBatch(sc, ots, rescan, pred, slot, cons, rescanCPU, emitCPU)
-		}}
-		return fr.compile(x.Outer, outer, false)
-
-	case *plan.HashJoin:
-		fs, ok := x.Right.(*plan.FragScan)
-		if !ok {
-			return consumer{}, fmt.Errorf("exec: HashJoin build side is %T, want FragScan (decompose first)", x.Right)
-		}
-		lcol := x.LCol
-		probeCPU := fr.eng.Params.HashProbeCPU
-		emitCPU := fr.eng.Params.EmitCPU
-		buildFrag := fs.Frag
-		slot := fr.newArena()
-		pslot := fr.newProbe()
-		limit := fr.emitLimit(cons)
-		probe := consumer{blocking: cons.blocking, proc: func(sc *slaveCtx, lts []storage.Tuple) error {
-			ht := fr.hashes[buildFrag]
-			var cht *ColHashTable
-			if ht == nil {
-				cht = fr.colHashes[buildFrag]
-				if cht == nil {
-					return fmt.Errorf("exec: hash table for fragment f%d not built", buildFrag.ID)
-				}
-			}
-			sc.chargeCPUPer(probeCPU, len(lts))
-			// Resolve the whole batch of probe tuples up front: one fused
-			// lock-free pass extracts, hashes and walks with the seal check
-			// hoisted out of the loop. A columnar build table bridges by
-			// materializing the match rows into the probe scratch — same
-			// charges, wall-clock cost only.
-			ps := sc.probeScratch(pslot)
-			var matches [][]storage.Tuple
-			var err error
-			if ht != nil {
-				matches, err = ht.ProbeTupleBatch(lts, lcol, ps.matches[:0])
-			} else {
-				matches, err = sc.probeColTable(cht, lts, lcol, ps)
-			}
-			ps.matches = matches[:0]
-			if err != nil {
-				return err
-			}
-			bp := sc.getBatch()
-			out := *bp
-		probeLoop:
-			for i := range lts {
-				lt := lts[i]
-				for _, bt := range matches[i] {
-					sc.chargeCPU(emitCPU)
-					if cons.retains {
-						out = append(out, lt.Concat(bt))
-					} else {
-						out = append(out, sc.arenaConcat(slot, lt, bt))
-					}
-					if len(out) >= limit {
-						err = cons.proc(sc, out)
-						out = out[:0]
-						if !cons.retains {
-							sc.arenaReset(slot)
-						}
-						if err != nil {
-							break probeLoop
-						}
-					}
-				}
-			}
-			if err == nil && len(out) > 0 {
-				err = cons.proc(sc, out)
-				if !cons.retains {
-					sc.arenaReset(slot)
-				}
-			}
-			*bp = out[:0]
-			sc.putBatch(bp)
-			return err
-		}}
-		return fr.compile(x.Left, probe, false)
-
-	case *plan.MergeJoin:
-		// Merge joins are fragment drivers; their joined tuples are
-		// produced by the merge driver directly and enter the chain above
-		// them, so compile is only ever called on them at the driver
-		// position.
-		return cons, nil
-
-	default:
-		return consumer{}, fmt.Errorf("exec: cannot compile node %T", n)
-	}
-}
-
-// compileFilter wraps cons with a leaf qualification. Survivors are
-// gathered into a scratch batch; the predicate itself is uncharged (the
-// per-tuple scan CPU of §3 covers qualification), so batching here
-// defers no clock work.
-func (fr *fragRun) compileFilter(filter expr.Expr, cons consumer) consumer {
-	pred := expr.CompilePred(filter)
-	if pred == nil {
-		return cons
-	}
-	return consumer{retains: cons.retains, blocking: cons.blocking, proc: func(sc *slaveCtx, ts []storage.Tuple) error {
-		bp := sc.getBatch()
-		kept, err := expr.FilterInto(pred, ts, *bp)
-		if err == nil && len(kept) > 0 {
-			err = cons.proc(sc, kept)
-		}
-		*bp = kept[:0]
-		sc.putBatch(bp)
-		return err
-	}}
-}
-
-// nestLoopBatch joins one batch of outer tuples against the inner input
-// (§2.1: the inner of a nestloop pipelines within the fragment, re-read
-// for every outer tuple). Join candidates are built in the operator's
-// arena and rolled back on a predicate miss, so only emitted tuples for
-// retaining consumers allocate.
-func (fr *fragRun) nestLoopBatch(sc *slaveCtx, ots []storage.Tuple, rescan rescanFn, pred expr.Pred, slot int, cons consumer, rescanCPU, emitCPU float64) error {
-	bp := sc.getBatch()
-	out := *bp
-	limit := fr.emitLimit(cons)
-	flush := func() error {
-		if len(out) == 0 {
-			return nil
-		}
-		err := cons.proc(sc, out)
-		out = out[:0]
-		if !cons.retains {
-			sc.arenaReset(slot)
-		}
-		return err
-	}
-	var err error
-	for i := range ots {
-		ot := ots[i]
-		sc.chargeCPU(rescanCPU)
-		err = rescan(sc, flush, func(it storage.Tuple) error {
-			mark := sc.arenaMark(slot)
-			cand := sc.arenaConcat(slot, ot, it)
-			if pred != nil {
-				ok, perr := pred(cand)
-				if perr != nil {
-					return perr
-				}
-				if !ok {
-					sc.arenaTrunc(slot, mark)
-					return nil
-				}
-			}
-			sc.chargeCPU(emitCPU)
-			if cons.retains {
-				sc.arenaTrunc(slot, mark)
-				out = append(out, ot.Concat(it))
-			} else {
-				out = append(out, cand)
-			}
-			if len(out) >= limit {
-				return flush()
-			}
-			return nil
-		})
-		if err != nil {
-			break
-		}
-	}
-	if ferr := flush(); err == nil {
-		err = ferr
-	}
-	*bp = out[:0]
-	sc.putBatch(bp)
-	return err
-}
-
-// rescanFn executes one full scan of a nestloop inner input. beforeIO
-// runs ahead of every blocking disk wait so the caller can flush its
-// pending output batch (delivering downstream clock charges) before the
-// slave's CPU debt is slept off; emit receives each surviving inner
-// tuple.
-type rescanFn func(sc *slaveCtx, beforeIO func() error, emit func(storage.Tuple) error) error
-
-// compileRescan builds the inner-rescan executor of a nestloop, hoisting
-// per-scan constants out of the per-outer-tuple path.
-func (fr *fragRun) compileRescan(n plan.Node) (rescanFn, error) {
-	switch x := n.(type) {
-	case *plan.SeqScan:
-		rel := x.Rel
-		pred := expr.CompilePred(x.Filter)
-		perTuple := fr.eng.Params.TupleCPU(rel.Stats().AvgTupleSize)
-		return func(sc *slaveCtx, beforeIO func() error, emit func(storage.Tuple) error) error {
-			for p := int64(0); p < rel.NPages(); p++ {
-				if err := beforeIO(); err != nil {
-					return err
-				}
-				sc.flushCPU()
-				tuples, err := fr.eng.Store.ReadPage(rel, p)
-				if err != nil {
-					return err
-				}
-				sc.chargeCPU(perTuple * float64(len(tuples)))
-				for i := range tuples {
-					if pred != nil {
-						ok, err := pred(tuples[i])
-						if err != nil {
-							return err
-						}
-						if !ok {
-							continue
-						}
-					}
-					if err := emit(tuples[i]); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}, nil
-
-	case *plan.IndexScan:
-		rel := x.Rel
-		tree := x.Index.Tree
-		lo, hi := x.Lo, x.Hi
-		pred := expr.CompilePred(x.Filter)
-		perTuple := fr.eng.Params.TupleCPU(rel.Stats().AvgTupleSize) + fr.eng.Params.IndexProbeCPU
-		return func(sc *slaveCtx, beforeIO func() error, emit func(storage.Tuple) error) error {
-			var visitErr error
-			tree.Visit(lo, hi, func(_ int32, tid storage.TID) bool {
-				if visitErr = beforeIO(); visitErr != nil {
-					return false
-				}
-				sc.flushCPU()
-				t, err := fr.eng.Store.ReadTID(rel, tid)
-				if err != nil {
-					visitErr = err
-					return false
-				}
-				sc.chargeCPU(perTuple)
-				if pred != nil {
-					ok, err := pred(t)
-					if err != nil {
-						visitErr = err
-						return false
-					}
-					if !ok {
-						return true
-					}
-				}
-				if err := emit(t); err != nil {
-					visitErr = err
-					return false
-				}
-				return true
-			})
-			return visitErr
-		}, nil
-
-	case *plan.FragScan:
-		readCPU := fr.eng.Params.TempReadCPU
-		frag := x.Frag
-		return func(sc *slaveCtx, beforeIO func() error, emit func(storage.Tuple) error) error {
-			temp := fr.temps[frag]
-			if temp == nil {
-				return fmt.Errorf("exec: temp for fragment f%d not materialized", frag.ID)
-			}
-			tuples := temp.Tuples()
-			sc.chargeCPU(readCPU * float64(len(tuples)))
-			for i := range tuples {
-				if err := emit(tuples[i]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}, nil
-
-	default:
-		return nil, fmt.Errorf("exec: node %T is not rescannable", n)
 	}
 }
 
@@ -611,6 +210,3 @@ func (fr *fragRun) tempOf(fs *plan.FragScan) (*Temp, error) {
 	}
 	return t, nil
 }
-
-// indexOf returns the B-tree behind an IndexScan driver.
-func indexOf(x *plan.IndexScan) *btree.Index { return x.Index }

@@ -246,7 +246,7 @@ func TestLiveAdjustmentMidScan(t *testing.T) {
 		var err error
 		v.Run(func() {
 			// Launch at degree 3 manually, adjust after a while, then wait.
-			fr, ferr := newFragRun(eng, g.Root, map[*plan.Fragment]*Temp{}, map[*plan.Fragment]*HashTable{}, map[*plan.Fragment]*ColHashTable{})
+			fr, ferr := newFragRun(eng, g.Root, map[*plan.Fragment]*Temp{}, map[*plan.Fragment]*ColHashTable{})
 			if ferr != nil {
 				t.Error(ferr)
 				return
@@ -301,7 +301,7 @@ func TestLiveAdjustmentRangeScan(t *testing.T) {
 		root := &plan.IndexScan{Rel: rel, Index: ix, Lo: 0, Hi: 1999}
 		specs, g := specFor(t, eng, root, 0)
 		v.Run(func() {
-			fr, ferr := newFragRun(eng, g.Root, map[*plan.Fragment]*Temp{}, map[*plan.Fragment]*HashTable{}, map[*plan.Fragment]*ColHashTable{})
+			fr, ferr := newFragRun(eng, g.Root, map[*plan.Fragment]*Temp{}, map[*plan.Fragment]*ColHashTable{})
 			if ferr != nil {
 				t.Error(ferr)
 				return
@@ -340,7 +340,7 @@ func TestAdjustmentAfterCompletionIsNoop(t *testing.T) {
 	rel := buildRel(t, eng.Store, "r", 50, 50, 20)
 	specs, g := specFor(t, eng, &plan.SeqScan{Rel: rel}, 0)
 	v.Run(func() {
-		fr, _ := newFragRun(eng, g.Root, map[*plan.Fragment]*Temp{}, map[*plan.Fragment]*HashTable{}, map[*plan.Fragment]*ColHashTable{})
+		fr, _ := newFragRun(eng, g.Root, map[*plan.Fragment]*Temp{}, map[*plan.Fragment]*ColHashTable{})
 		drv, _ := eng.driverFor(fr)
 		eng.events = vclock.NewMailbox(eng.Clock)
 		rt := &runningTask{eng: eng, task: specs[0].Task, fr: fr, drv: drv, slaves: make(map[int]*slaveState)}

@@ -170,18 +170,13 @@ func (d *rangeDriver) run(sc *slaveCtx) error {
 	// key order equals heap order) cost one IO, not one per tuple.
 	lastPage := int64(-1)
 	bsz := d.fr.eng.batchSize()
-	bp := sc.getBatch()
-	batch := *bp
-	defer func() {
-		*bp = batch
-		sc.putBatch(bp)
-	}()
+	batch := sc.colOutBatch(d.fr.drvSlot, d.fr.eng, rel.Schema, nil)
 	flush := func() error {
-		if len(batch) == 0 {
+		if batch.N == 0 {
 			return nil
 		}
-		err := d.fr.processBatch(sc, batch)
-		batch = batch[:0]
+		err := d.fr.processColBatch(sc, batch)
+		batch.Reset()
 		return err
 	}
 	for {
@@ -210,11 +205,10 @@ func (d *rangeDriver) run(sc *slaveCtx) error {
 			continue
 		}
 		for _, tid := range tids {
-			var t storage.Tuple
 			var err error
 			if tid.Page == lastPage {
 				// The heap page is already at hand; no further IO.
-				t, err = rel.TupleAt(tid)
+				err = rel.AppendTID(batch, tid)
 			} else {
 				// Drain the pending batch and CPU debt before the random
 				// read so the clock at the IO point is batch-independent.
@@ -222,15 +216,14 @@ func (d *rangeDriver) run(sc *slaveCtx) error {
 					return err
 				}
 				sc.flushCPU()
-				t, err = d.fr.eng.Store.ReadTID(rel, tid)
+				err = d.fr.eng.Store.ReadTID(rel, tid, batch)
 				lastPage = tid.Page
 			}
 			if err != nil {
 				return err
 			}
 			sc.chargeCPU(perTuple)
-			batch = append(batch, t)
-			if len(batch) >= bsz {
+			if batch.N >= bsz {
 				if err := flush(); err != nil {
 					return err
 				}

@@ -377,8 +377,7 @@ type Scheduler struct {
 	inflight    int
 	running     map[int]*runningTask
 	temps       map[*plan.Fragment]*Temp
-	hashes      map[*plan.Fragment]*HashTable
-	colHashes   map[*plan.Fragment]*ColHashTable
+	hashes      map[*plan.Fragment]*ColHashTable
 	draining    bool
 	drainAck    chan struct{}
 
@@ -470,15 +469,14 @@ func NewScheduler(e *Engine, policy core.Policy, opts core.Options, adm Admissio
 	e.schedFree = nil
 	if s == nil {
 		s = &Scheduler{
-			eng:       e,
-			events:    vclock.NewMailbox(e.Clock),
-			queries:   make(map[int]*query),
-			byTask:    make(map[int]*query),
-			tenants:   make(map[string]*tenantState),
-			running:   make(map[int]*runningTask),
-			temps:     make(map[*plan.Fragment]*Temp),
-			hashes:    make(map[*plan.Fragment]*HashTable),
-			colHashes: make(map[*plan.Fragment]*ColHashTable),
+			eng:     e,
+			events:  vclock.NewMailbox(e.Clock),
+			queries: make(map[int]*query),
+			byTask:  make(map[int]*query),
+			tenants: make(map[string]*tenantState),
+			running: make(map[int]*runningTask),
+			temps:   make(map[*plan.Fragment]*Temp),
+			hashes:  make(map[*plan.Fragment]*ColHashTable),
 		}
 		s.loopFn = s.loop
 	} else {
@@ -621,7 +619,6 @@ func (s *Scheduler) resetSession() {
 	clear(s.running)
 	clear(s.temps)
 	clear(s.hashes)
-	clear(s.colHashes)
 	s.draining = false
 	s.drainAck = nil
 }
@@ -1277,7 +1274,7 @@ func (s *Scheduler) apply(d core.Decision) {
 	for _, st := range d.Starts {
 		q := s.byTask[st.Task.ID]
 		spec := q.specs[st.Task.ID]
-		fr, err := e.getFragRun(spec.Frag, s.temps, s.hashes, s.colHashes)
+		fr, err := e.getFragRun(spec.Frag, s.temps, s.hashes)
 		if err != nil {
 			s.abortStart(q, st.Task, err)
 			continue
@@ -1365,11 +1362,7 @@ func (s *Scheduler) onTaskDone(ev taskDone) {
 		frag := q.specs[id].Frag
 		switch frag.Out {
 		case plan.HashOut:
-			if ev.rt.fr.outColHash != nil {
-				s.colHashes[frag] = ev.rt.fr.outColHash
-			} else {
-				s.hashes[frag] = ev.rt.fr.outHash
-			}
+			s.hashes[frag] = ev.rt.fr.outHash
 		case plan.RootOut:
 			s.temps[frag] = ev.rt.fr.outTemp
 			q.rep.Results[id] = ev.rt.fr.outTemp
@@ -1426,10 +1419,9 @@ func (s *Scheduler) finishQuery(q *query) {
 	for _, id := range q.ids {
 		delete(s.byTask, id)
 		delete(s.temps, q.specs[id].Frag)
-		delete(s.hashes, q.specs[id].Frag)
-		if cht := s.colHashes[q.specs[id].Frag]; cht != nil {
-			cht.release()
-			delete(s.colHashes, q.specs[id].Frag)
+		if ht := s.hashes[q.specs[id].Frag]; ht != nil {
+			ht.release()
+			delete(s.hashes, q.specs[id].Frag)
 		}
 	}
 	for _, fr := range q.frs {

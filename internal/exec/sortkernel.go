@@ -11,13 +11,12 @@ import (
 
 // Parallel stable merge sort for Temp.Finalize.
 //
-// The kernel never compares tuples directly: each row's sort key and
+// The kernel never compares rows directly: each row's sort key and
 // arrival index pack into one uint64 (key in the high 32 bits with the
 // sign bit flipped so unsigned order matches signed order, index in the
-// low 32), so comparisons touch dense 8-byte words instead of chasing
-// every tuple's Vals pointer, and the arrival index makes all packed
-// values distinct — ascending uint64 order IS the stable order, with no
-// tie-break logic anywhere in the hot path.
+// low 32), so comparisons touch dense 8-byte words, and the arrival
+// index makes all packed values distinct — ascending uint64 order IS
+// the stable order, with no tie-break logic anywhere in the hot path.
 //
 // The merge structure follows the append runs recorded by Temp: slave
 // flushes frequently arrive pre-ordered (scans drive pipelines in key
@@ -25,7 +24,8 @@ import (
 // that happen to extend each other coalesce for free, and the remaining
 // sorted spans merge pairwise through one scratch buffer in ping-pong
 // rounds — concurrently when more than one processor is available. A
-// final gather permutes the tuples into sorted order in one pass.
+// final gather permutes the column vectors into sorted order in one
+// pass.
 //
 // Any chunking and any degree of parallelism yields the identical
 // result: the packed values are totally ordered, so the sorted array is
@@ -52,56 +52,12 @@ func packKey(key int32, idx int) uint64 {
 	return uint64(uint32(key)^0x80000000)<<32 | uint64(uint32(idx))
 }
 
-// parallelStableSort stably sorts ts on col, returning the sorted
-// slice (a fresh backing array — the final gather permutes into it, so
-// no copy-back pass is ever paid; ts itself is returned unchanged for
-// degenerate sizes). runs holds ascending end offsets of the append
-// runs (the last equal to len(ts)); procs bounds the worker
-// goroutines. Both are advisory: any runs shape and procs value
-// produce the identical final order.
-func parallelStableSort(ts []storage.Tuple, col int, runs []int, procs int) []storage.Tuple {
-	n := len(ts)
-	if n < 2 {
-		return ts
-	}
-	packed := make([]uint64, n)
-	for i := range ts {
-		packed[i] = packKey(ts[i].Vals[col].Int, i)
-	}
-	if procs > runtime.GOMAXPROCS(0) {
-		procs = runtime.GOMAXPROCS(0)
-	}
-	if n < parallelSortMinRows {
-		slices.Sort(packed)
-	} else {
-		var offs []int
-		if procs <= 1 {
-			// Natural merge: every append run is a span; pre-sorted runs
-			// cost one verification pass and no sort.
-			offs = normalizeRuns(runs, n)
-		} else {
-			// Parallel merge: at most procs spans so round 0 saturates the
-			// processors without oversubscribing them.
-			offs = chunkOffsets(n, runs, procs)
-		}
-		sortSpans(packed, offs, procs)
-		offs = coalesceSpans(packed, offs)
-		mergeSpans(packed, offs, procs)
-	}
-	// Gather pass: permute the tuples into sorted order.
-	sorted := make([]storage.Tuple, n)
-	for i, p := range packed {
-		sorted[i] = ts[p&0xffffffff]
-	}
-	return sorted
-}
-
-// sortColBatch stably sorts an owned columnar batch in place on col,
-// through the same packed-key span machinery as parallelStableSort: the
-// packed order is a pure function of (keys, arrival order), so the row
-// and columnar paths produce the identical permutation. The gather pass
-// permutes every column; text buffers rebuild by appending in
-// destination order.
+// sortColBatch stably sorts an owned columnar batch in place on col.
+// runs holds ascending end offsets of the append runs (the last equal
+// to cb.N); procs bounds the worker goroutines. Both are advisory: any
+// runs shape and procs value produce the identical final order. The
+// gather pass permutes every column; text columns permute only their
+// span arrays.
 func sortColBatch(cb *storage.ColBatch, col int, runs []int, procs int) {
 	n := cb.N
 	if n < 2 {
@@ -120,8 +76,12 @@ func sortColBatch(cb *storage.ColBatch, col int, runs []int, procs int) {
 	} else {
 		var offs []int
 		if procs <= 1 {
+			// Natural merge: every append run is a span; pre-sorted runs
+			// cost one verification pass and no sort.
 			offs = normalizeRuns(runs, n)
 		} else {
+			// Parallel merge: at most procs spans so round 0 saturates the
+			// processors without oversubscribing them.
 			offs = chunkOffsets(n, runs, procs)
 		}
 		sortSpans(packed, offs, procs)

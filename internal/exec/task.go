@@ -352,7 +352,6 @@ type slaveCtx struct {
 	// charge, however the charges were grouped into batches: flushes
 	// sleep whole nanoseconds and carry the sub-nanosecond remainder.
 	cpuDebtPs int64
-	outBuf    []storage.Tuple
 	// aggLocal is this slave's private accumulator table when the
 	// fragment root is an Agg (two-phase parallel aggregation).
 	aggLocal map[int32][]int64
@@ -360,27 +359,11 @@ type slaveCtx struct {
 	// chunks instead of allocating per group. Full chunks are simply
 	// abandoned to the live accumulators and a fresh one started.
 	aggSlab []int64
-	// arenas are per-emitting-operator value arenas (slot indexes are
-	// assigned at pipeline compile time). Compiled closures are shared
-	// by every slave of the fragment, so their mutable scratch lives
-	// here.
-	arenas [][]storage.Value
-	// pageBuf is the reusable tuple buffer for generator-backed page
-	// reads; physical pages come from the relation's decode cache
-	// instead.
-	pageBuf []storage.Tuple
-	// hb is this slave's private hash-table builder when the fragment
-	// output is a hash table: batches partition without locking, and
-	// flushAll publishes the buffers at slave exit.
-	hb *Builder
-	// probes are per-hash-join probe scratch buffers (slot indexes are
-	// assigned at pipeline compile time, like arenas).
-	probes []probeScratch
 
-	// Columnar-pipeline scratch. colPageBuf is the reusable decode target
-	// for generator-backed page reads; colView/colViewVecs back the
-	// sub-batch views the driver slices a fetched page into; tempView/
-	// tempVecs back temp-chunk views the same way.
+	// colPageBuf is the reusable decode target for generator-backed page
+	// reads; colView/colViewVecs back the sub-batch views the page driver
+	// slices a fetched page into; tempView/tempVecs back temp-chunk views
+	// the same way.
 	colPageBuf  *storage.ColBatch
 	colView     storage.ColBatch
 	colViewVecs []storage.Vec
@@ -388,13 +371,18 @@ type slaveCtx struct {
 	tempVecs    []storage.Vec
 	// sels holds two selection-scratch buffers per filter slot (the
 	// ping-pong pair); colOuts holds one output batch per emitting slot.
+	// Slot indexes are assigned at pipeline compile time: compiled
+	// closures are shared by every slave of the fragment, so their
+	// mutable scratch lives here.
 	sels    [][]int32
 	colOuts []*storage.ColBatch
-	// colHb is the columnar twin of hb; colHbScratch is its pooled
-	// backing storage (builderIn re-targets it per table, keeping the
-	// partition-buffer slice).
-	colHb        *ColBuilder
-	colHbScratch ColBuilder
+	// hb is this slave's private hash-table builder when the fragment
+	// output is a hash table: batches partition without locking, and
+	// flushAll publishes the buffers at slave exit. hbScratch is its
+	// pooled backing storage (builderIn re-targets it per table, keeping
+	// the partition-buffer slice).
+	hb        *ColBuilder
+	hbScratch ColBuilder
 	// aggDense is this slave's dense aggregation window (with aggBase its
 	// anchor); aggSrc is per-function source-vector scratch.
 	aggDense *denseScratch
@@ -412,38 +400,18 @@ func (sc *slaveCtx) reset() {
 	sc.rt, sc.state = nil, nil
 	sc.stateVal = slaveState{}
 	sc.cpuDebtPs = 0
-	sc.outBuf = sc.outBuf[:0]
 	sc.aggLocal = nil
 	sc.aggSlab = nil
-	for i := range sc.arenas {
-		sc.arenas[i] = sc.arenas[i][:0]
-	}
-	sc.pageBuf = sc.pageBuf[:0]
-	sc.hb = nil
-	for i := range sc.probes {
-		p := &sc.probes[i]
-		p.matches = p.matches[:0]
-		p.vals = p.vals[:0]
-		p.tuples = p.tuples[:0]
-	}
 	// colPageBuf is retained: fetchCols re-Inits it per relation schema.
 	sc.colView = storage.ColBatch{}
 	sc.tempView = storage.ColBatch{}
 	clear(sc.colViewVecs)
 	clear(sc.tempVecs)
-	sc.colHb = nil
-	sc.colHbScratch.ht = nil
+	sc.hb = nil
+	sc.hbScratch.ht = nil
 	sc.aggDense = nil
 	sc.aggBase = 0
 	sc.inflightQ = sc.inflightQ[:0]
-}
-
-// probeScratch is one hash join's per-slave batch-probe buffer. vals and
-// tuples are the materialization slabs of the columnar-build bridge.
-type probeScratch struct {
-	matches [][]storage.Tuple
-	vals    []storage.Value
-	tuples  []storage.Tuple
 }
 
 // selScratch returns pointers to the slot's two selection buffers.
@@ -464,92 +432,6 @@ func (sc *slaveCtx) colOutBatch(slot int, eng *Engine, s storage.Schema, prune [
 		sc.colOuts[slot] = eng.getColBatchPruned(s, eng.batchSize(), prune)
 	}
 	return sc.colOuts[slot]
-}
-
-// probeColTable resolves a batch of probe tuples against a columnar
-// build table, materializing the match rows into the probe scratch's
-// slabs. The per-key slices stay valid until the scratch's next use;
-// value and tuple slabs may grow mid-batch, in which case earlier slices
-// keep their old backing alive.
-func (sc *slaveCtx) probeColTable(cht *ColHashTable, lts []storage.Tuple, col int, ps *probeScratch) ([][]storage.Tuple, error) {
-	matches := ps.matches[:0]
-	ps.vals = ps.vals[:0]
-	ps.tuples = ps.tuples[:0]
-	for i := range lts {
-		if col < 0 || col >= len(lts[i].Vals) {
-			return matches, fmt.Errorf("exec: probe column %d out of range (tuple has %d)", col, len(lts[i].Vals))
-		}
-		store, start, cnt := cht.ProbeKey(lts[i].Vals[col].Int)
-		var ms []storage.Tuple
-		if cnt > 0 {
-			ncols := len(store.Vecs)
-			tstart := len(ps.tuples)
-			for m := int32(0); m < cnt; m++ {
-				row := int(start + m)
-				vstart := len(ps.vals)
-				for c := 0; c < ncols; c++ {
-					ps.vals = append(ps.vals, store.Value(c, row))
-				}
-				ps.tuples = append(ps.tuples, storage.Tuple{Vals: ps.vals[vstart:len(ps.vals):len(ps.vals)]})
-			}
-			ms = ps.tuples[tstart:len(ps.tuples):len(ps.tuples)]
-		}
-		matches = append(matches, ms)
-	}
-	return matches, nil
-}
-
-// probeScratch returns the scratch of a probe slot, growing the table
-// on first use.
-func (sc *slaveCtx) probeScratch(slot int) *probeScratch {
-	for len(sc.probes) <= slot {
-		sc.probes = append(sc.probes, probeScratch{})
-	}
-	return &sc.probes[slot]
-}
-
-// getBatch and putBatch hand batch scratch buffers through the engine
-// pool.
-func (sc *slaveCtx) getBatch() *[]storage.Tuple  { return sc.rt.eng.getBatch() }
-func (sc *slaveCtx) putBatch(b *[]storage.Tuple) { sc.rt.eng.putBatch(b) }
-
-// arenaMark returns the current fill of arena slot; arenaTrunc rolls it
-// back to a mark; arenaReset empties it. A reset (or trunc) is only
-// legal once no live tuple references the region — i.e. after the batch
-// built from it has been fully consumed downstream.
-func (sc *slaveCtx) arenaMark(slot int) int {
-	if slot < len(sc.arenas) {
-		return len(sc.arenas[slot])
-	}
-	return 0
-}
-
-func (sc *slaveCtx) arenaTrunc(slot, mark int) {
-	if slot < len(sc.arenas) {
-		sc.arenas[slot] = sc.arenas[slot][:mark]
-	}
-}
-
-func (sc *slaveCtx) arenaReset(slot int) {
-	if slot < len(sc.arenas) {
-		sc.arenas[slot] = sc.arenas[slot][:0]
-	}
-}
-
-// arenaConcat builds the concatenation of l and r with its Vals sliced
-// out of the slot's arena. If the arena grows mid-batch the old backing
-// stays alive through the tuples already built from it, so previously
-// returned tuples remain valid until the next reset.
-func (sc *slaveCtx) arenaConcat(slot int, l, r storage.Tuple) storage.Tuple {
-	for len(sc.arenas) <= slot {
-		sc.arenas = append(sc.arenas, nil)
-	}
-	a := sc.arenas[slot]
-	start := len(a)
-	a = append(a, l.Vals...)
-	a = append(a, r.Vals...)
-	sc.arenas[slot] = a
-	return storage.Tuple{Vals: a[start:len(a):len(a)]}
 }
 
 // checkpoint is called by drivers at safe pause points (page boundaries
@@ -631,29 +513,6 @@ func (sc *slaveCtx) flushCPU() {
 	}
 }
 
-// bufferBatch queues a batch of output tuples, flushing to the shared
-// temp one lock round-trip per batch. The buffer is reused after each
-// flush (Temp.Append copies the tuple structs out).
-func (sc *slaveCtx) bufferBatch(ts []storage.Tuple) {
-	if sc.outBuf == nil {
-		sc.outBuf = make([]storage.Tuple, 0, sc.rt.eng.batchSize())
-	}
-	sc.outBuf = append(sc.outBuf, ts...)
-	if len(sc.outBuf) >= sc.rt.eng.batchSize() {
-		sc.flushOut()
-	}
-}
-
-func (sc *slaveCtx) flushOut() {
-	if len(sc.outBuf) == 0 {
-		return
-	}
-	if sc.rt.fr.outTemp != nil {
-		sc.rt.fr.outTemp.Append(sc.outBuf)
-	}
-	sc.outBuf = sc.outBuf[:0]
-}
-
 // flushAll drains all buffers at slave exit, merging aggregation
 // partials into the fragment's shared state and recycling the slave's
 // columnar scratch through the engine pools.
@@ -675,11 +534,6 @@ func (sc *slaveCtx) flushAll() {
 		sc.hb.Flush()
 		sc.hb = nil
 	}
-	if sc.colHb != nil {
-		sc.colHb.Flush()
-		sc.colHb = nil
-	}
-	sc.flushOut()
 	sc.flushCPU()
 	// colPageBuf stays with the context (it re-Inits per schema); the
 	// per-slot output batches are fragment-shaped and go back to their

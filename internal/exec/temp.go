@@ -24,11 +24,11 @@ import (
 // buffer pool without crossing disks; accordingly reads of a Temp charge
 // CPU but no IO.
 //
-// Internally a Temp is columnar: appends land in one owned ColBatch, so
-// neither the columnar pipeline nor Finalize's sort ever touches a tuple
-// struct. Row-oriented readers (merge drivers, nestloop rescans, tests)
-// go through Tuples/Chunk, which materialize a row cache lazily — one
-// backing Value array for the whole temp — and invalidate it on append.
+// A Temp is columnar: appends land in one owned ColBatch, so neither the
+// pipeline nor Finalize's sort ever touches a tuple struct. Row-oriented
+// readers (result printing, tests) go through Tuples, which materializes
+// a row cache lazily — one backing Value array for the whole temp — and
+// invalidates it on append.
 type Temp struct {
 	Schema storage.Schema
 
@@ -170,6 +170,15 @@ func (t *Temp) Tuples() []storage.Tuple {
 	return t.materializeLocked()
 }
 
+// columns returns the temp's columnar store (nil while empty). Callers
+// must treat it as read-only; the executor only reads it after the
+// producing fragment completed.
+func (t *Temp) columns() *storage.ColBatch {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.cols
+}
+
 // Finalize sorts the temp on col (-1 keeps arrival order) and seals it.
 // The sort is the parallel merge sort of sortkernel.go: append runs are
 // grouped into up to sortProcs chunks, chunk-sorted concurrently, then
@@ -229,17 +238,6 @@ func (t *Temp) chunkRangeLocked(c int64) (int, int) {
 		hi = n
 	}
 	return lo, hi
-}
-
-// Chunk returns the tuples of chunk c (row view).
-func (t *Temp) Chunk(c int64) []storage.Tuple {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	lo, hi := t.chunkRangeLocked(c)
-	if hi == lo {
-		return nil
-	}
-	return t.materializeLocked()[lo:hi]
 }
 
 // ChunkCols returns a read-only columnar view of chunk c, using vecs as

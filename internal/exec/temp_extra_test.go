@@ -47,8 +47,12 @@ func TestPropertyTempChunksPartition(t *testing.T) {
 		temp.Append(batch)
 		seen := 0
 		for c := int64(0); c < temp.NumChunks(); c++ {
-			for _, tp := range temp.Chunk(c) {
-				if tp.Vals[0].Int != int32(seen) {
+			view, _, ok := temp.ChunkCols(c, nil)
+			if !ok {
+				return false
+			}
+			for _, v := range view.Vecs[0].Ints {
+				if v != int32(seen) {
 					return false
 				}
 				seen++
@@ -75,7 +79,7 @@ func TestPropertyAggMergeEquivalence(t *testing.T) {
 				acc = initAccum(st.funcs)
 				ref[key] = acc
 			}
-			fold(acc, st.funcs, storage.NewTuple(storage.IntVal(key)))
+			foldKey(acc, st.funcs, key)
 		}
 		// Two-phase: split the stream at an arbitrary point into two
 		// partials, merge both.
@@ -92,7 +96,7 @@ func TestPropertyAggMergeEquivalence(t *testing.T) {
 					acc = initAccum(st.funcs)
 					partial[key] = acc
 				}
-				fold(acc, st.funcs, storage.NewTuple(storage.IntVal(key)))
+				foldKey(acc, st.funcs, key)
 			}
 			st.mergeInto(partial)
 		}
@@ -124,5 +128,22 @@ func newAggStateForTest() *aggState {
 			{Kind: plan.Max, Col: 0},
 		},
 		groups: map[int32][]int64{},
+	}
+}
+
+// foldKey adds one input row whose every column holds key into an
+// accumulator.
+func foldKey(acc []int64, funcs []plan.AggFunc, key int32) {
+	for i, f := range funcs {
+		switch f.Kind {
+		case plan.CountAll:
+			acc[i]++
+		case plan.Sum:
+			acc[i] += int64(key)
+		case plan.Min:
+			acc[i] = min(acc[i], int64(key))
+		case plan.Max:
+			acc[i] = max(acc[i], int64(key))
+		}
 	}
 }

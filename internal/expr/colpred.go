@@ -12,10 +12,9 @@ import (
 // row indexes of the passing rows. Filtering never moves tuple data —
 // downstream operators consume the batch through the selection vector.
 //
-// The compiled forms reproduce the row path's semantics exactly
-// (including error messages), which the differential oracle in
-// colpred_test.go pins down; the executor can therefore switch between
-// the row and columnar paths without observable differences.
+// The compiled forms reproduce the interpreted evaluator's semantics
+// exactly (including error messages), which the differential oracle in
+// colpred_test.go pins down against Qualifies row by row.
 
 // ColPred appends the passing physical row indexes of b, drawn from the
 // input selection sel (nil = all b.N rows), to out and returns the
@@ -219,35 +218,39 @@ func compileColCmp(c Cmp) ColPred {
 			return colColColPred(c.Op, lc.Idx, rc.Idx)
 		}
 		if k, ok := c.R.(Const); ok && k.Val.Typ == storage.Int4 {
-			return colConstColPred(c.Op, lc.Idx, k.Val.Int)
+			return colConstColPred(c.Op, lc.Idx, k.Val.Int, false)
 		}
 	}
 	if k, ok := c.L.(Const); ok && k.Val.Typ == storage.Int4 {
 		if rc, ok := c.R.(Col); ok {
-			return colConstColPred(swapOp(c.Op), rc.Idx, k.Val.Int)
+			return colConstColPred(swapOp(c.Op), rc.Idx, k.Val.Int, true)
 		}
 	}
 	return nil
 }
 
 // checkInt4Col validates a column reference once per batch, mirroring
-// the row path's per-tuple errors.
-func checkInt4Col(b *storage.ColBatch, idx int) error {
+// the interpreter's per-tuple errors. constLeft says the constant was
+// written on the left, which orders the types in a mismatch message.
+func checkInt4Col(b *storage.ColBatch, idx int, constLeft bool) error {
 	if idx < 0 || idx >= len(b.Vecs) {
 		return fmt.Errorf("expr: column %d out of range (tuple has %d)", idx, len(b.Vecs))
 	}
-	if b.Vecs[idx].Typ != storage.Int4 {
-		return fmt.Errorf("expr: comparing %v with %v", b.Vecs[idx].Typ, storage.Int4)
+	if typ := b.Vecs[idx].Typ; typ != storage.Int4 {
+		if constLeft {
+			return fmt.Errorf("expr: comparing %v with %v", storage.Int4, typ)
+		}
+		return fmt.Errorf("expr: comparing %v with %v", typ, storage.Int4)
 	}
 	return nil
 }
 
-func colConstColPred(op CmpOp, idx int, k int32) ColPred {
+func colConstColPred(op CmpOp, idx int, k int32, constLeft bool) ColPred {
 	return func(b *storage.ColBatch, sel []int32, out []int32) ([]int32, error) {
 		if b.N == 0 && sel == nil || sel != nil && len(sel) == 0 {
 			return out, nil
 		}
-		if err := checkInt4Col(b, idx); err != nil {
+		if err := checkInt4Col(b, idx, constLeft); err != nil {
 			return out, err
 		}
 		col := b.Vecs[idx].Ints
@@ -383,6 +386,42 @@ func colColColPred(op CmpOp, li, ri int) ColPred {
 			}
 		}
 		return out, nil
+	}
+}
+
+// swapOp mirrors an operator across its operands: const OP col becomes
+// col swapOp(OP) const.
+func swapOp(op CmpOp) CmpOp {
+	switch op {
+	case LT:
+		return GT
+	case LE:
+		return GE
+	case GT:
+		return LT
+	case GE:
+		return LE
+	default: // EQ, NE are symmetric
+		return op
+	}
+}
+
+func cmpHolds(op CmpOp, cmp int) (bool, error) {
+	switch op {
+	case EQ:
+		return cmp == 0, nil
+	case NE:
+		return cmp != 0, nil
+	case LT:
+		return cmp < 0, nil
+	case LE:
+		return cmp <= 0, nil
+	case GT:
+		return cmp > 0, nil
+	case GE:
+		return cmp >= 0, nil
+	default:
+		return false, fmt.Errorf("expr: unknown comparison %v", op)
 	}
 }
 

@@ -258,30 +258,6 @@ func (b *ColBatch) AppendJoined(l *ColBatch, lrow int, r *ColBatch, rrow int) {
 	b.N++
 }
 
-// AppendJoinedTuple appends the concatenation of l's row lrow and the
-// row-form tuple t: the columnar probe's bridge over a row-layout build
-// table. b's columns past len(l.Vecs) must match t's shape.
-func (b *ColBatch) AppendJoinedTuple(l *ColBatch, lrow int, t Tuple) {
-	nl := len(l.Vecs)
-	for c := range l.Vecs {
-		b.appendVal(c, &l.Vecs[c], lrow)
-	}
-	for c := nl; c < len(b.Vecs); c++ {
-		dst := &b.Vecs[c]
-		if dst.Pruned() {
-			continue
-		}
-		v := t.Vals[c-nl]
-		switch dst.Typ {
-		case Int4:
-			dst.Ints = append(dst.Ints, v.Int)
-		case Text:
-			dst.appendTextStr(v.Str)
-		}
-	}
-	b.N++
-}
-
 // appendVal copies one value of src row `row` into b's column c. A
 // pruned source column prunes (or matches) the destination column.
 func (b *ColBatch) appendVal(c int, src *Vec, row int) {

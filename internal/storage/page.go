@@ -199,26 +199,3 @@ func decodePageCols(s Schema, data []byte, dst *ColBatch) error {
 	}
 	return nil
 }
-
-// decodePage extracts all tuples from a physical page image.
-func decodePage(s Schema, data []byte) ([]Tuple, error) {
-	if len(data) != PageSize {
-		return nil, fmt.Errorf("storage: page image is %d bytes, want %d", len(data), PageSize)
-	}
-	n := int(binary.LittleEndian.Uint16(data[0:2]))
-	out := make([]Tuple, n)
-	for i := 0; i < n; i++ {
-		slot := pageHeaderSize + i*slotSize
-		off := int(binary.LittleEndian.Uint16(data[slot:]))
-		ln := int(binary.LittleEndian.Uint16(data[slot+2:]))
-		if off+ln > PageSize {
-			return nil, fmt.Errorf("storage: slot %d points outside page", i)
-		}
-		t, err := decodeTuple(s, data[off:off+ln])
-		if err != nil {
-			return nil, fmt.Errorf("slot %d: %w", i, err)
-		}
-		out[i] = t
-	}
-	return out, nil
-}

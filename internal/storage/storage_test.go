@@ -114,7 +114,7 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := decodeTuple(s, append(enc, 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
-	if _, err := decodePage(s, make([]byte, 10)); err == nil {
+	if err := decodePageCols(s, make([]byte, 10), NewColBatch(s, 1)); err == nil {
 		t.Fatal("short page accepted")
 	}
 }
@@ -356,7 +356,7 @@ func TestStoreReadChargesIO(t *testing.T) {
 	_ = st.Add(r)
 	v.Run(func() {
 		for p := int64(0); p < r.NPages(); p++ {
-			if _, err := st.ReadPage(r, p); err != nil {
+			if _, err := st.ReadPage(r, p, nil); err != nil {
 				t.Error(err)
 			}
 		}
@@ -377,7 +377,7 @@ func TestBufferPoolHitsSkipDisk(t *testing.T) {
 	v.Run(func() {
 		for pass := 0; pass < 2; pass++ {
 			for p := int64(0); p < r.NPages(); p++ {
-				if _, err := st.ReadPage(r, p); err != nil {
+				if _, err := st.ReadPage(r, p, nil); err != nil {
 					t.Error(err)
 				}
 			}
@@ -391,7 +391,7 @@ func TestBufferPoolHitsSkipDisk(t *testing.T) {
 		t.Fatalf("pool hits/misses = %d/%d", hits, misses)
 	}
 	st.Pool.Invalidate()
-	v.Run(func() { _, _ = st.ReadPage(r, 0) })
+	v.Run(func() { _, _ = st.ReadPage(r, 0, nil) })
 	if got := st.Disks.Stats().TotalReads(); got != r.NPages()+1 {
 		t.Fatalf("invalidate did not drop residency")
 	}
@@ -434,7 +434,7 @@ func TestReadTIDUnclusteredPattern(t *testing.T) {
 		// Jumping between distant pages must be charged as random IO.
 		pages := []int64{0, 2, 0, 2, 1, 0}
 		for _, p := range pages {
-			if _, err := st.ReadTID(r, TID{Page: p, Slot: 0}); err != nil {
+			if err := st.ReadTID(r, TID{Page: p, Slot: 0}, NewColBatch(r.Schema, 1)); err != nil {
 				t.Error(err)
 			}
 		}

@@ -268,20 +268,20 @@ func (s *Store) EnqueuePage(rel *Relation, p int64, parallel bool) time.Duration
 }
 
 // ReadPage charges the IO for page p of rel (unless the buffer pool holds
-// it), blocks until it is served, and returns the page's tuples. This is
-// the single-stream path (inner rescans, utilities); parallel scans go
-// through EnqueuePage.
-func (s *Store) ReadPage(rel *Relation, p int64) ([]Tuple, error) {
+// it), blocks until it is served, and returns the page in columnar form
+// (see Relation.PageColsInto for dst). This is the single-stream path
+// (inner rescans, utilities); parallel scans go through EnqueuePage.
+func (s *Store) ReadPage(rel *Relation, p int64, dst *ColBatch) (*ColBatch, error) {
 	s.Clock.SleepUntil(s.EnqueuePage(rel, p, false))
-	return rel.PageTuples(p)
+	return rel.PageColsInto(p, dst)
 }
 
-// ReadTID charges the IO for the page holding tid and returns the tuple.
-// Unclustered index scans use this: one (usually random) page read per
-// qualifying tuple, which is why such scans are IO-bound (§3).
-func (s *Store) ReadTID(rel *Relation, tid TID) (Tuple, error) {
+// ReadTID charges the IO for the page holding tid and appends the tuple
+// to dst. Unclustered index scans use this: one (usually random) page
+// read per qualifying tuple, which is why such scans are IO-bound (§3).
+func (s *Store) ReadTID(rel *Relation, tid TID, dst *ColBatch) error {
 	if !s.Pool.touch(pageKey{rel: rel.ID, page: tid.Page}) {
 		s.Disks.Read(rel.ID, tid.Page)
 	}
-	return rel.TupleAt(tid)
+	return rel.AppendTID(dst, tid)
 }

@@ -130,30 +130,36 @@ func MeasureJoin(cfg Config, iters int) (*JoinBenchResult, error) {
 		return sink
 	}
 
-	// The radix kernel: private builder, seal, batched lock-free probes.
+	// The radix kernel, fed the same rows in executor-sized columnar
+	// batches (converted once, outside the timed rounds): private
+	// builder, seal, lock-free probes.
+	toCols := func(ts []storage.Tuple) []*storage.ColBatch {
+		var out []*storage.ColBatch
+		for lo := 0; lo < len(ts); lo += batch {
+			cb := storage.NewColBatch(schema, batch)
+			for _, t := range ts[lo:min(lo+batch, len(ts))] {
+				cb.AppendTuple(t)
+			}
+			out = append(out, cb)
+		}
+		return out
+	}
+	buildCols, probeCols := toCols(build), toCols(probe)
 	kernelRound := func() (int64, error) {
-		ht := exec.NewHashTableP(schema, 0, parts, procs)
+		ht := exec.NewColHashTable(nil, schema, 0, parts, procs)
 		hb := ht.Builder()
-		hb.Reserve(len(build))
-		for lo := 0; lo < len(build); lo += batch {
-			hi := min(lo+batch, len(build))
-			if err := hb.InsertBatch(build[lo:hi]); err != nil {
+		for _, cb := range buildCols {
+			if err := hb.InsertBatch(cb); err != nil {
 				return 0, err
 			}
 		}
 		hb.Flush()
 		ht.Seal()
 		var sink int64
-		matches := make([][]storage.Tuple, 0, batch)
-		for lo := 0; lo < len(probe); lo += batch {
-			hi := min(lo+batch, len(probe))
-			var err error
-			matches, err = ht.ProbeTupleBatch(probe[lo:hi], 0, matches[:0])
-			if err != nil {
-				return 0, err
-			}
-			for _, ms := range matches {
-				sink += int64(len(ms))
+		for _, cb := range probeCols {
+			for _, k := range cb.Vecs[0].Ints {
+				_, _, n := ht.ProbeKey(k)
+				sink += int64(n)
 			}
 		}
 		return sink, nil

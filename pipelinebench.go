@@ -66,7 +66,6 @@ func RunPipelineBenchQuery(s *System) (tuples int64, groups int, err error) {
 
 // PipelineBenchResult is one measured run of the pipeline benchmark.
 type PipelineBenchResult struct {
-	Layout       string  `json:"layout"`
 	BatchSize    int     `json:"batch_size"`
 	Iterations   int     `json:"iterations"`
 	TuplesPerSec float64 `json:"tuples_per_sec"`
@@ -114,12 +113,7 @@ func MeasurePipeline(cfg Config, iters int) (*PipelineBenchResult, error) {
 	}
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
-	layout := "columnar"
-	if cfg.RowBatches {
-		layout = "row"
-	}
 	res := &PipelineBenchResult{
-		Layout:       layout,
 		BatchSize:    s.BatchSize(),
 		Iterations:   iters,
 		TuplesPerSec: float64(tuples) / wall.Seconds(),
