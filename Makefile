@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-matrix bench vet lint allocgate servegate obsgate all
+.PHONY: build test race race-matrix bench vet lint allocgate servegate obsgate fuzz-smoke all
 
 all: build lint test
 
@@ -52,3 +52,15 @@ servegate:
 # free" priced per submit (see TestObsAllocGate in sched_bench_test.go).
 obsgate:
 	XPRS_ALLOC_GATE=1 $(GO) test -run TestObsAllocGate -v ./internal/exec
+
+# Fuzz smoke: every native fuzz target (func Fuzz* in a _test.go file)
+# fuzzes for FUZZTIME on top of its committed seed corpus
+# (testdata/fuzz/<target>/).
+FUZZTIME ?= 10s
+fuzz-smoke:
+	@set -e; $(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read -r pkg dir; do \
+		for fz in $$(cat $$dir/*_test.go 2>/dev/null | sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p'); do \
+			echo "fuzz $$pkg $$fz"; \
+			$(GO) test -run '^$$' -fuzz "^$$fz$$" -fuzztime $(FUZZTIME) $$pkg; \
+		done; \
+	done

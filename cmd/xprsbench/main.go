@@ -174,6 +174,7 @@ func main() {
 		// query (recorded before the batch pipeline landed), kept in the
 		// file so regressions are visible without digging through git.
 		payload := struct {
+			Host hostRecord `json:"host"`
 			*xprs.PipelineBenchResult
 			Baseline struct {
 				NsPerOp     float64 `json:"ns_per_op"`
@@ -183,7 +184,7 @@ func main() {
 			BufferHitRate float64              `json:"buffer_hit_rate"`
 			Repartitions  int64                `json:"repartitions"`
 			Metrics       xprs.MetricsSnapshot `json:"metrics"`
-		}{PipelineBenchResult: res, Metrics: snap}
+		}{Host: currentHost(), PipelineBenchResult: res, Metrics: snap}
 		payload.Baseline.NsPerOp = 17108129
 		payload.Baseline.AllocsPerOp = 128017
 		payload.Baseline.BytesPerOp = 10026465

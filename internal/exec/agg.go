@@ -66,15 +66,23 @@ func (d *denseScratch) popSeen() int {
 // initAccum returns the identity accumulator for the function list.
 func initAccum(funcs []plan.AggFunc) []int64 {
 	acc := make([]int64, len(funcs))
+	resetAccum(acc, funcs)
+	return acc
+}
+
+// resetAccum sets acc to the identity accumulator for the function
+// list.
+func resetAccum(acc []int64, funcs []plan.AggFunc) {
 	for i, f := range funcs {
 		switch f.Kind {
 		case plan.Min:
 			acc[i] = math.MaxInt64
 		case plan.Max:
 			acc[i] = math.MinInt64
+		default:
+			acc[i] = 0
 		}
 	}
-	return acc
 }
 
 // mergeAcc folds src into dst under the function list.
@@ -289,159 +297,127 @@ func (st *aggState) emit(out *Temp) int {
 }
 
 // accumulateBatchCols folds the live rows of a columnar batch into the
-// slave's private accumulators. Keys inside a 64K window anchored at the
-// first key seen fold into a flat array — one bounds check and no
-// hashing per row; outliers fall back to the accumulator map + slab, so
-// any key distribution stays correct. Accumulator cells initialize on
-// first touch via the seen bitmap, which is what lets recycled scratch
-// skip a 512KB zeroing pass per slave.
+// slave's private accumulators, each with multiplicity 1.
 func (sc *slaveCtx) accumulateBatchCols(st *aggState, b *storage.ColBatch) {
-	funcs := st.funcs
-	nf := len(funcs)
-	gc := st.groupCol
 	if b.Live() == 0 {
 		return
 	}
-	if gc < 0 || nf == 0 || b.Vecs[gc].Typ != storage.Int4 || b.Vecs[gc].Ints == nil {
-		sc.accumulateColsViaMap(st, b)
+	f := sc.aggFolder(st, b)
+	if b.Sel == nil {
+		for row := 0; row < b.N; row++ {
+			f.fold(sc, row, 1)
+		}
 		return
 	}
-	keys := b.Vecs[gc].Ints
+	for _, row := range b.Sel {
+		f.fold(sc, int(row), 1)
+	}
+}
+
+// aggFolder folds rows of one batch into a slave's private accumulators.
+// The batch path folds every live row once; the fused probe folds a
+// probe row once per match count (see compileProbeFold). Keys inside a
+// 64K window anchored at the first key seen fold into a flat array —
+// one bounds check and no hashing per row; outliers, global groups and
+// degenerate key vectors fall back to the accumulator map + slab, so
+// any key distribution stays correct. Accumulator cells initialize on
+// first touch via the seen bitmap, which is what lets recycled scratch
+// skip a 512KB zeroing pass per slave.
+type aggFolder struct {
+	funcs []plan.AggFunc
+	// keys is the group-key vector, nil when every row folds under key
+	// 0 (a global aggregate, or a missing or non-int4 key column).
+	keys []int32
+	// src holds each function's argument vector, nil for CountAll and
+	// for missing or non-int4 columns (read as 0).
+	src [][]int32
+	// dense says keys may use the dense window.
+	dense bool
+}
+
+// aggFolder binds the aggregate's columns to batch b's vectors.
+func (sc *slaveCtx) aggFolder(st *aggState, b *storage.ColBatch) aggFolder {
+	funcs := st.funcs
+	nf := len(funcs)
+	f := aggFolder{funcs: funcs}
+	if gc := st.groupCol; gc >= 0 && gc < len(b.Vecs) && b.Vecs[gc].Typ == storage.Int4 {
+		f.keys = b.Vecs[gc].Ints
+	}
+	f.dense = f.keys != nil && nf > 0
 	if cap(sc.aggSrc) < nf {
 		sc.aggSrc = make([][]int32, nf)
 	}
-	src := sc.aggSrc[:nf]
-	for i, f := range funcs {
-		src[i] = nil
-		if f.Kind != plan.CountAll && f.Col >= 0 && f.Col < len(b.Vecs) && b.Vecs[f.Col].Typ == storage.Int4 {
-			src[i] = b.Vecs[f.Col].Ints
+	f.src = sc.aggSrc[:nf]
+	for i, fn := range funcs {
+		f.src[i] = nil
+		if fn.Kind != plan.CountAll && fn.Col >= 0 && fn.Col < len(b.Vecs) && b.Vecs[fn.Col].Typ == storage.Int4 {
+			f.src[i] = b.Vecs[fn.Col].Ints
 		}
 	}
-	if sc.aggDense == nil {
-		first := keys[0]
-		if b.Sel != nil {
-			first = keys[b.Sel[0]]
-		}
-		sc.aggBase = first &^ int32(aggDenseWindow-1)
-		sc.aggDense = sc.rt.fr.eng.getDense(nf)
+	return f
+}
+
+// fold folds physical row `row` into its group's accumulator as if the
+// row occurred mult times: counts and sums scale, min and max apply
+// once.
+func (f *aggFolder) fold(sc *slaveCtx, row int, mult int64) {
+	k := int32(0)
+	if f.keys != nil {
+		k = f.keys[row]
 	}
-	d, base := sc.aggDense, sc.aggBase
-	foldRow := func(row int) {
-		k := keys[row]
-		var acc []int64
-		if idx := int(k) - int(base); 0 <= idx && idx < aggDenseWindow {
-			off := idx * nf
-			acc = d.acc[off : off+nf]
-			w, bit := idx>>6, uint64(1)<<(idx&63)
-			if d.seen[w]&bit == 0 {
-				d.seen[w] |= bit
-				for i, f := range funcs {
-					switch f.Kind {
-					case plan.Min:
-						acc[i] = math.MaxInt64
-					case plan.Max:
-						acc[i] = math.MinInt64
-					default:
-						acc[i] = 0
-					}
-				}
-			}
-		} else {
-			if sc.aggLocal == nil {
-				sc.aggLocal = make(map[int32][]int64)
-			}
-			a, ok := sc.aggLocal[k]
-			if !ok {
-				a = sc.newAccum(funcs)
-				sc.aggLocal[k] = a
-			}
-			acc = a
+	acc := sc.aggCell(f.funcs, k, f.dense)
+	for i, fn := range f.funcs {
+		var v int64
+		if s := f.src[i]; s != nil {
+			v = int64(s[row])
 		}
-		for i, f := range funcs {
-			var v int64
-			if s := src[i]; s != nil {
-				v = int64(s[row])
+		switch fn.Kind {
+		case plan.CountAll:
+			acc[i] += mult
+		case plan.Sum:
+			acc[i] += mult * v
+		case plan.Min:
+			if v < acc[i] {
+				acc[i] = v
 			}
-			switch f.Kind {
-			case plan.CountAll:
-				acc[i]++
-			case plan.Sum:
-				acc[i] += v
-			case plan.Min:
-				if v < acc[i] {
-					acc[i] = v
-				}
-			case plan.Max:
-				if v > acc[i] {
-					acc[i] = v
-				}
+		case plan.Max:
+			if v > acc[i] {
+				acc[i] = v
 			}
-		}
-	}
-	if b.Sel == nil {
-		for row := 0; row < b.N; row++ {
-			foldRow(row)
-		}
-	} else {
-		for _, row := range b.Sel {
-			foldRow(int(row))
 		}
 	}
 }
 
-// accumulateColsViaMap is the cold fallback: global groups and
-// degenerate key vectors fold through the map per row, reading a
-// missing or non-int4 value as 0.
-func (sc *slaveCtx) accumulateColsViaMap(st *aggState, b *storage.ColBatch) {
+// aggCell returns the slave's accumulator for group k: a dense-window
+// cell when dense and k falls inside the window (anchored at the first
+// dense key this slave sees), the overflow map's entry otherwise.
+func (sc *slaveCtx) aggCell(funcs []plan.AggFunc, k int32, dense bool) []int64 {
+	if dense {
+		nf := len(funcs)
+		if sc.aggDense == nil {
+			sc.aggBase = k &^ int32(aggDenseWindow-1)
+			sc.aggDense = sc.rt.fr.eng.getDense(nf)
+		}
+		if idx := int(k) - int(sc.aggBase); 0 <= idx && idx < aggDenseWindow {
+			d := sc.aggDense
+			acc := d.acc[idx*nf : idx*nf+nf]
+			w, bit := idx>>6, uint64(1)<<(idx&63)
+			if d.seen[w]&bit == 0 {
+				d.seen[w] |= bit
+				resetAccum(acc, funcs)
+			}
+			return acc
+		}
+	}
 	if sc.aggLocal == nil {
 		sc.aggLocal = make(map[int32][]int64)
 	}
-	funcs := st.funcs
-	gc := st.groupCol
-	var keys []int32
-	if gc >= 0 && gc < len(b.Vecs) && b.Vecs[gc].Typ == storage.Int4 {
-		keys = b.Vecs[gc].Ints
+	acc, ok := sc.aggLocal[k]
+	if !ok {
+		acc = sc.newAccum(funcs)
+		sc.aggLocal[k] = acc
 	}
-	foldRow := func(row int) {
-		key := int32(0)
-		if keys != nil {
-			key = keys[row]
-		}
-		acc, ok := sc.aggLocal[key]
-		if !ok {
-			acc = sc.newAccum(funcs)
-			sc.aggLocal[key] = acc
-		}
-		for i, f := range funcs {
-			var v int64
-			if f.Col >= 0 && f.Col < len(b.Vecs) && b.Vecs[f.Col].Typ == storage.Int4 && b.Vecs[f.Col].Ints != nil {
-				v = int64(b.Vecs[f.Col].Ints[row])
-			}
-			switch f.Kind {
-			case plan.CountAll:
-				acc[i]++
-			case plan.Sum:
-				acc[i] += v
-			case plan.Min:
-				if v < acc[i] {
-					acc[i] = v
-				}
-			case plan.Max:
-				if v > acc[i] {
-					acc[i] = v
-				}
-			}
-		}
-	}
-	if b.Sel == nil {
-		for row := 0; row < b.N; row++ {
-			foldRow(row)
-		}
-	} else {
-		for _, row := range b.Sel {
-			foldRow(int(row))
-		}
-	}
+	return acc
 }
 
 // getDense hands out a dense scratch window for nf functions; the seen
@@ -491,15 +467,6 @@ func (sc *slaveCtx) newAccum(funcs []plan.AggFunc) []int64 {
 	start := len(sc.aggSlab)
 	sc.aggSlab = sc.aggSlab[:start+n]
 	acc := sc.aggSlab[start : start+n : start+n]
-	for i, f := range funcs {
-		switch f.Kind {
-		case plan.Min:
-			acc[i] = math.MaxInt64
-		case plan.Max:
-			acc[i] = math.MinInt64
-		default:
-			acc[i] = 0
-		}
-	}
+	resetAccum(acc, funcs)
 	return acc
 }

@@ -177,6 +177,61 @@ var sweepCases = map[string]sweepCase{
 		}
 		return &plan.HashJoin{Left: nl, Right: &plan.SeqScan{Rel: buildRel(t, eng.Store, "xa", 40, 20, 20)}, LCol: 0, RCol: 0}
 	}},
+	// A root aggregate fused into the probe beneath it: count, sum, min
+	// and max over a probe column, build keys with fanout 10, the
+	// zero-hash key 0, and key 7 with 310 duplicates (a heavy-hitter
+	// group, past the 254 an inline slot count holds). Probe keys 40..44
+	// miss. The build table keeps no column (a counting table).
+	"ProbeFoldFuncs": {0, func(t *testing.T, eng *Engine) plan.Node {
+		l := buildRelInts(t, eng.Store, "fl", 900, 16, func(i int) (int32, int32) { return int32(i % 45), int32((i*37)%101 - 50) })
+		r := buildRelWith(t, eng.Store, "fr", 700, 16, func(i int) int32 {
+			if i >= 400 {
+				return 7
+			}
+			return int32(i % 40)
+		})
+		hj := &plan.HashJoin{Left: &plan.SeqScan{Rel: l}, Right: &plan.SeqScan{Rel: r}, LCol: 0, RCol: 0}
+		return &plan.Agg{Child: hj, GroupCol: 0, Funcs: []plan.AggFunc{
+			{Kind: plan.CountAll}, {Kind: plan.Sum, Col: 1}, {Kind: plan.Min, Col: 1}, {Kind: plan.Max, Col: 1},
+		}}
+	}},
+	// Grouping on the build key: the fused fold reads it as the probe
+	// key it equals ($3, the build side's a, joined to the probe's c).
+	"ProbeFoldBuildKey": {0, func(t *testing.T, eng *Engine) plan.Node {
+		l := buildRelInts(t, eng.Store, "kl", 800, 16, func(i int) (int32, int32) { return int32((i * 7) % 50), int32(i % 33) })
+		r := buildRel(t, eng.Store, "kr", 300, 30, 16)
+		hj := &plan.HashJoin{Left: &plan.SeqScan{Rel: l}, Right: &plan.SeqScan{Rel: r}, LCol: 1, RCol: 0}
+		return &plan.Agg{Child: hj, GroupCol: 3, Funcs: []plan.AggFunc{
+			{Kind: plan.CountAll}, {Kind: plan.Sum, Col: 0}, {Kind: plan.Max, Col: 3},
+		}}
+	}},
+	// Grouping on a build column other than the key: no fusion, and the
+	// build table keeps that column (only).
+	"BuildColGroup": {0, func(t *testing.T, eng *Engine) plan.Node {
+		l := buildRel(t, eng.Store, "gl", 600, 40, 20)
+		r := buildRelInts(t, eng.Store, "gr", 200, 24, func(i int) (int32, int32) { return int32(i % 40), int32(i % 7) })
+		hj := &plan.HashJoin{Left: &plan.SeqScan{Rel: l}, Right: &plan.SeqScan{Rel: r}, LCol: 0, RCol: 0}
+		return &plan.Agg{Child: hj, GroupCol: 3, Funcs: []plan.AggFunc{{Kind: plan.CountAll}, {Kind: plan.Min, Col: 0}}}
+	}},
+	// A fused fold over a chain of probes: the lower probe emits only
+	// the probe key (its build columns are read by no one, so its table
+	// is a counting table and its output prunes them), and the upper
+	// probe folds.
+	"ProbeChainCounting": {0, func(t *testing.T, eng *Engine) plan.Node {
+		l := buildRelInts(t, eng.Store, "cl", 700, 16, func(i int) (int32, int32) { return int32(i % 35), int32(i % 9) })
+		r1 := buildRel(t, eng.Store, "c1", 150, 30, 40)
+		r2 := buildRel(t, eng.Store, "c2", 90, 45, 24)
+		lower := &plan.HashJoin{Left: &plan.SeqScan{Rel: l}, Right: &plan.SeqScan{Rel: r1}, LCol: 0, RCol: 0}
+		upper := &plan.HashJoin{Left: lower, Right: &plan.SeqScan{Rel: r2}, LCol: 0, RCol: 0}
+		return &plan.Agg{Child: upper, GroupCol: 1, Funcs: []plan.AggFunc{{Kind: plan.CountAll}, {Kind: plan.Max, Col: 0}}}
+	}},
+	// A Sort root over a probe: the result is materialized whole, so
+	// nothing is pruned on either side.
+	"SortHashJoin": {0, func(t *testing.T, eng *Engine) plan.Node {
+		l := buildRel(t, eng.Store, "sl", 300, 50, 12)
+		r := buildRel(t, eng.Store, "sr", 120, 60, 12)
+		return &plan.Sort{Child: &plan.HashJoin{Left: &plan.SeqScan{Rel: l}, Right: &plan.SeqScan{Rel: r}, LCol: 0, RCol: 0}, Col: 0}
+	}},
 	// A nestloop whose inner is an index rescan: every outer tuple
 	// triggers random IO, so emitters ahead of it flush per emission.
 	"NestLoopIndexInner": {32, func(t *testing.T, eng *Engine) plan.Node {
@@ -222,6 +277,47 @@ var sweepGoldens = map[string]sweepOutcome{
 	"MergeNestLoopProbe": {360, "91ae3fdc745505a8", "5.226591552s",
 		"0@305.960911ms 1@188.178645ms 2@490.539556ms 3@5.226591552s",
 		"{Reads:[897 0 8] Busy:9.47599379s Queued:673.264934ms}"},
+	// The five shapes below were recorded before the probe fused into
+	// the aggregate and build tables pruned their columns, so they pin
+	// both changes to the unfused, unpruned answers and clock.
+	"ProbeFoldFuncs": {40, "474c6c4c8b11396f", "708.832488ms",
+		"0@213.187177ms 1@708.832488ms",
+		"{Reads:[0 6 8] Busy:328.57142ms Queued:171.428568ms}"},
+	"ProbeFoldBuildKey": {30, "2b7321aabe768256", "558.165822ms",
+		"0@196.520511ms 1@558.165822ms",
+		"{Reads:[0 4 7] Busy:266.66666ms Queued:114.285712ms}"},
+	"BuildColGroup": {7, "cbb8435df35283c7", "462.536308ms",
+		"0@173.290997ms 1@462.536308ms",
+		"{Reads:[0 2 6] Busy:204.7619ms Queued:57.142856ms}"},
+	"ProbeChainCounting": {9, "17e9776ca1b62666", "738.974498ms",
+		"0@157.355534ms 1@313.879187ms 2@738.974498ms",
+		"{Reads:[0 3 7] Busy:249.999994ms Queued:85.714284ms}"},
+	"SortHashJoin": {600, "cdfa87df218a65a0", "414.600517ms",
+		"0@196.357194ms 1@414.600517ms",
+		"{Reads:[0 0 4] Busy:114.285712ms Queued:0s}"},
+}
+
+// buildRelInts creates a physical relation r(a int4, c int4, b text)
+// with n tuples, (a, c) = fn(i), b = padding of padLen bytes.
+func buildRelInts(t *testing.T, st *storage.Store, name string, n int, padLen int, fn func(int) (int32, int32)) *storage.Relation {
+	t.Helper()
+	b := storage.NewBuilder(st.NextID(), name, storage.NewSchema(
+		storage.Column{Name: "a", Typ: storage.Int4},
+		storage.Column{Name: "c", Typ: storage.Int4},
+		storage.Column{Name: "b", Typ: storage.Text},
+	))
+	pad := strings.Repeat("y", padLen)
+	for i := 0; i < n; i++ {
+		a, c := fn(i)
+		if err := b.Append(storage.NewTuple(storage.IntVal(a), storage.IntVal(c), storage.TextVal(pad))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := b.Finalize()
+	if err := st.Add(r); err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // runSweep executes the named shape at every sweep size and checks each
@@ -268,6 +364,11 @@ func TestBatchSweepMergeNestLoopProbe(t *testing.T) { runSweep(t, "MergeNestLoop
 func TestBatchSweepNestLoopIndexInnerProbe(t *testing.T) {
 	runSweep(t, "NestLoopIndexInnerProbe")
 }
+func TestBatchSweepProbeFoldFuncs(t *testing.T)     { runSweep(t, "ProbeFoldFuncs") }
+func TestBatchSweepProbeFoldBuildKey(t *testing.T)  { runSweep(t, "ProbeFoldBuildKey") }
+func TestBatchSweepBuildColGroup(t *testing.T)      { runSweep(t, "BuildColGroup") }
+func TestBatchSweepSortHashJoin(t *testing.T)       { runSweep(t, "SortHashJoin") }
+func TestBatchSweepProbeChainCounting(t *testing.T) { runSweep(t, "ProbeChainCounting") }
 
 // refEval answers a plan tree by brute force over the base relations'
 // tuples: scans filter through the interpreted evaluator, every join is

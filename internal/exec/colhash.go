@@ -46,6 +46,13 @@ import (
 // could not do. Per-key row order is chunk order (the order builders
 // flushed).
 //
+// Pruned tables. A table stores only the build columns its probe's
+// consumer reads (plan.Fragment.Need); the rest are never copied. A
+// table that keeps no column at all is a counting table: builders keep
+// only the cached hashes, and sealing stops after the counting pass —
+// no permutation, no gather — because every probe needs only group
+// offsets and lengths. Its store is an all-pruned placeholder batch.
+//
 // Partition count is a pure wall-clock knob: results, virtual-clock
 // totals and disk statistics are independent of it (the modeled insert
 // and probe CPU charges are per tuple, not per partition), which
@@ -94,7 +101,7 @@ func ceilPow2(n int) int {
 // colChunk is one flushed columnar build buffer: a dense batch plus the
 // cached hash of each row's key, index-aligned. The hash slice is boxed
 // so it can round-trip through the engine's pool without re-allocating
-// its header.
+// its header. A counting table's chunks carry no batch (cb nil).
 type colChunk struct {
 	cb  *storage.ColBatch
 	hvs *[]uint32
@@ -151,6 +158,12 @@ type ColHashTable struct {
 	Schema storage.Schema
 	Col    int
 
+	// prune lists the build columns no probe reads (ascending); they are
+	// never stored. keepNone marks a counting table (every column
+	// pruned).
+	prune    []int
+	keepNone bool
+
 	eng       *Engine // batch recycling; nil allocates directly
 	partShift uint
 	sealProcs int
@@ -170,8 +183,15 @@ type ColHashTable struct {
 }
 
 // NewColHashTable creates an empty columnar table keyed on the given
-// column of the build schema. eng (optional) supplies batch recycling.
+// column of the build schema, storing every column. eng (optional)
+// supplies batch recycling.
 func NewColHashTable(eng *Engine, schema storage.Schema, col int, partitions, sealProcs int) *ColHashTable {
+	return newColHashTable(eng, schema, col, nil, partitions, sealProcs)
+}
+
+// newColHashTable is NewColHashTable for a table that never stores the
+// build columns listed in prune (ascending).
+func newColHashTable(eng *Engine, schema storage.Schema, col int, prune []int, partitions, sealProcs int) *ColHashTable {
 	if partitions < 1 {
 		partitions = 1
 	}
@@ -190,6 +210,8 @@ func NewColHashTable(eng *Engine, schema storage.Schema, col int, partitions, se
 	}
 	h.Schema = schema
 	h.Col = col
+	h.prune = prune
+	h.keepNone = len(prune) == len(schema.Cols)
 	h.eng = eng
 	h.partShift = uint(32 - bits.Len32(uint32(p)-1))
 	h.sealProcs = sealProcs
@@ -202,6 +224,30 @@ func NewColHashTable(eng *Engine, schema storage.Schema, col int, partitions, se
 		h.chunks = h.chunks[:p]
 	}
 	return h
+}
+
+// newBatch returns an empty batch shaped for the stored columns.
+func (h *ColHashTable) newBatch(capRows int) *storage.ColBatch {
+	if h.eng != nil {
+		return h.eng.getColBatch(h.Schema, capRows, h.prune)
+	}
+	b := &storage.ColBatch{}
+	b.InitPruned(h.Schema, capRows, h.prune)
+	return b
+}
+
+// newChunk returns an empty build buffer with room for capRows rows.
+func (h *ColHashTable) newChunk(capRows int) colChunk {
+	var c colChunk
+	if h.eng != nil {
+		c.hvs = h.eng.getHvs(capRows)
+	} else {
+		c.hvs = new([]uint32)
+	}
+	if !h.keepNone {
+		c.cb = h.newBatch(capRows)
+	}
+	return c
 }
 
 // Len returns the number of inserted rows.
@@ -240,6 +286,19 @@ func (h *ColHashTable) builderIn(b *ColBuilder) *ColBuilder {
 	return b
 }
 
+// KeyTypeError reports a hash-join key column that is not an int4
+// vector: the build side's hash column ("hash") or the probe column
+// ("probe"). The optimizer rejects such joins, so only a hand-built plan
+// reaches it.
+type KeyTypeError struct {
+	Side string
+	Col  int
+}
+
+func (e *KeyTypeError) Error() string {
+	return fmt.Sprintf("exec: %s column %d is not an int4 vector", e.Side, e.Col)
+}
+
 // InsertBatch partitions the live rows of one batch into the builder's
 // private buffers, caching each row's hash so sealing never recomputes
 // it. The key column is validated once per batch.
@@ -252,7 +311,7 @@ func (b *ColBuilder) InsertBatch(cb *storage.ColBatch) error {
 		return fmt.Errorf("exec: hash column %d out of range", col)
 	}
 	if cb.Vecs[col].Typ != storage.Int4 || cb.Vecs[col].Ints == nil {
-		return fmt.Errorf("exec: hash column %d is not an int4 vector", col)
+		return &KeyTypeError{Side: "hash", Col: col}
 	}
 	keys := cb.Vecs[col].Ints
 	shift := b.ht.partShift
@@ -261,16 +320,12 @@ func (b *ColBuilder) InsertBatch(cb *storage.ColBatch) error {
 		row := cb.RowAt(i)
 		hv := hashKey(keys[row])
 		c := &b.parts[hv>>shift]
-		if c.cb == nil {
-			if b.ht.eng != nil {
-				c.cb = b.ht.eng.getColBatch(b.ht.Schema, live)
-				c.hvs = b.ht.eng.getHvs(live)
-			} else {
-				c.cb = storage.NewColBatch(b.ht.Schema, live)
-				c.hvs = new([]uint32)
-			}
+		if c.hvs == nil {
+			*c = b.ht.newChunk(live)
 		}
-		c.cb.AppendRow(cb, row)
+		if c.cb != nil {
+			c.cb.AppendRow(cb, row)
+		}
 		*c.hvs = append(*c.hvs, hv)
 	}
 	b.n += live
@@ -292,7 +347,7 @@ func (b *ColBuilder) Flush() {
 		panic("exec: hash-table builder flushed after seal")
 	}
 	for p := range b.parts {
-		if b.parts[p].cb != nil {
+		if b.parts[p].hvs != nil {
 			h.chunks[p] = append(h.chunks[p], b.parts[p])
 		}
 	}
@@ -353,11 +408,11 @@ func (h *ColHashTable) seal() {
 // from its flushed chunks: a counting pass fills the slot counts, a
 // destination pass assigns every row its flat index, and the inverse
 // permutation gathers rows in destination order, because text vectors
-// only append.
+// only append. A counting table stops after the counting pass.
 func (h *ColHashTable) sealColPartition(chunks []colChunk) colPart {
 	total := 0
 	for _, c := range chunks {
-		total += c.cb.N
+		total += len(*c.hvs)
 	}
 	if total == 0 {
 		return colPart{}
@@ -454,6 +509,13 @@ func (h *ColHashTable) sealColPartition(chunks []colChunk) colPart {
 			hstart += part.heavy[g].count
 		}
 	}
+	if h.keepNone {
+		// Every slot already holds its group's offset and length.
+		part.store = h.newBatch(0)
+		part.store.N = total
+		h.recycle(chunks, scr)
+		return part
+	}
 	// Pass 2: compute each input row's destination (advancing the start
 	// fields as a counting-sort scatter would), then invert.
 	scr.perm = growI32(scr.perm, total)
@@ -497,11 +559,7 @@ func (h *ColHashTable) sealColPartition(chunks []colChunk) colPart {
 	for src, dst := range perm {
 		invDst[dst] = int32(src)
 	}
-	if h.eng != nil {
-		part.store = h.eng.getColBatch(h.Schema, total)
-	} else {
-		part.store = storage.NewColBatch(h.Schema, total)
-	}
+	part.store = h.newBatch(total)
 	// Map a global row index back to (chunk, row) with running bases;
 	// chunk counts are tiny (one per flushing slave), so a linear walk
 	// beats any index structure.
@@ -509,7 +567,7 @@ func (h *ColHashTable) sealColPartition(chunks []colChunk) colPart {
 	bases := scr.bases
 	bases[0] = 0
 	for i, c := range chunks {
-		bases[i+1] = bases[i] + int32(c.cb.N)
+		bases[i+1] = bases[i] + int32(len(*c.hvs))
 	}
 	for dst := 0; dst < total; dst++ {
 		src := invDst[dst]
@@ -519,15 +577,21 @@ func (h *ColHashTable) sealColPartition(chunks []colChunk) colPart {
 		}
 		part.store.AppendRow(chunks[ci].cb, int(src-bases[ci]))
 	}
-	// The chunk buffers are dead now; recycle them for future builds.
-	if h.eng != nil {
-		for _, c := range chunks {
-			h.eng.putColBatch(c.cb)
-			h.eng.putHvs(c.hvs)
-		}
-		h.eng.putSealScratch(scr)
-	}
+	h.recycle(chunks, scr)
 	return part
+}
+
+// recycle returns a sealed partition's dead chunk buffers and seal
+// scratch to the engine pools for future builds.
+func (h *ColHashTable) recycle(chunks []colChunk, scr *sealScratch) {
+	if h.eng == nil {
+		return
+	}
+	for _, c := range chunks {
+		h.eng.putColBatch(c.cb)
+		h.eng.putHvs(c.hvs)
+	}
+	h.eng.putSealScratch(scr)
 }
 
 // ProbeKey resolves one probe key to its build rows: the partition's

@@ -13,8 +13,12 @@ import (
 // vectors, the range driver gathers each key group's index hits out of
 // the page cache, the merge driver walks both sorted temps' vectors and
 // emits joined rows, filters produce selection vectors instead of
-// copying survivors, hash joins and nestloops emit by appending column
-// values, and aggregation folds through a dense accumulator window.
+// copying survivors, hash joins and nestloops emit by appending the
+// column values their consumer reads (the Need stamps plan.Decompose
+// computes), a hash probe under a root aggregate that reads only probe
+// columns folds its match counts straight into the aggregate
+// (compileProbeFold), and aggregation folds through a dense
+// accumulator window.
 //
 // Blocking consumers. A nestloop rescans its inner input for every
 // outer row, and rescanning a base relation waits on disk. Invariant 2
@@ -69,9 +73,9 @@ func (fr *fragRun) compileColSink() colConsumer {
 	}}
 }
 
-// pruneFor lists the columns of an emitting operator's output schema
-// that the consumer never reads (need nil keeps every column).
-func pruneFor(s storage.Schema, need map[int]bool) []int {
+// pruneFor lists the columns of s that a consumer with the given need
+// marks never reads (need nil keeps every column).
+func pruneFor(s storage.Schema, need []bool) []int {
 	if need == nil {
 		return nil
 	}
@@ -104,10 +108,10 @@ func forLive(b *storage.ColBatch, fn func(row int) error) error {
 }
 
 // compileCol builds the chain for the subtree rooted at n, feeding cons.
-// need, when non-nil, lists the output columns the consumer actually
-// reads (a root aggregate's group and argument columns); emitting joins
-// prune the rest so dead text columns are never copied.
-func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool, need map[int]bool) (colConsumer, error) {
+// Emitting operators copy only the output columns their consumer reads
+// (the Need stamped by plan.Decompose), so dead text columns are never
+// copied.
+func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool) (colConsumer, error) {
 	switch x := n.(type) {
 	case *plan.SeqScan:
 		return fr.compileColFilter(x.Filter, cons), nil
@@ -128,11 +132,16 @@ func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool, need m
 			return colConsumer{}, fmt.Errorf("exec: Sort below fragment root")
 		}
 		// Sorting happens in finalize; the batch path only collects.
-		return fr.compileCol(x.Child, cons, false, nil)
+		return fr.compileCol(x.Child, cons, false)
 
 	case *plan.Agg:
 		if !atRoot {
 			return colConsumer{}, fmt.Errorf("exec: Agg below fragment root")
+		}
+		if pa, ok := plan.ProbeAgg(x); ok {
+			fr.aggNode = pa
+			fr.agg = newAggState(pa, fr.eng)
+			return fr.compileProbeFold(x.Child.(*plan.HashJoin))
 		}
 		fr.aggNode = x
 		fr.agg = newAggState(x, fr.eng)
@@ -146,57 +155,35 @@ func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool, need m
 			sc.accumulateBatchCols(fr.agg, b)
 			return nil
 		}}
-		childNeed := make(map[int]bool)
-		if x.GroupCol >= 0 {
-			childNeed[x.GroupCol] = true
-		}
-		for _, f := range x.Funcs {
-			if f.Col >= 0 {
-				childNeed[f.Col] = true
-			}
-		}
-		return fr.compileCol(x.Child, acc, false, childNeed)
+		return fr.compileCol(x.Child, acc, false)
 
 	case *plan.NestLoop:
-		return fr.compileNestLoop(x, cons, need)
+		return fr.compileNestLoop(x, cons)
 
 	case *plan.HashJoin:
-		fs, ok := x.Right.(*plan.FragScan)
-		if !ok {
-			return colConsumer{}, fmt.Errorf("exec: HashJoin build side is %T, want FragScan (decompose first)", x.Right)
+		buildFrag, err := buildFragOf(x)
+		if err != nil {
+			return colConsumer{}, err
 		}
-		lcol := x.LCol
 		probeCPU := fr.eng.Params.HashProbeCPU
 		emitCPU := fr.eng.Params.EmitCPU
-		buildFrag := fs.Frag
 		slot := fr.newColOut()
 		outSchema := x.OutSchema()
-		prune := pruneFor(outSchema, need)
+		prune := pruneFor(outSchema, x.Need)
 		limit := fr.emitLimit(cons)
 		proc := func(sc *slaveCtx, b *storage.ColBatch) error {
 			live := b.Live()
 			if live == 0 {
 				return nil
 			}
-			ht := fr.hashes[buildFrag]
-			if ht == nil {
-				return fmt.Errorf("exec: hash table for fragment f%d not built", buildFrag.ID)
-			}
-			if lcol < 0 || lcol >= len(b.Vecs) {
-				return fmt.Errorf("exec: probe column %d out of range (tuple has %d)", lcol, len(b.Vecs))
+			ht, keys, err := fr.probeInput(buildFrag, x.LCol, b)
+			if err != nil {
+				return err
 			}
 			sc.chargeCPUPer(probeCPU, live)
 			out := sc.colOutBatch(slot, fr.eng, outSchema, prune)
-			var keys []int32
-			if b.Vecs[lcol].Typ == storage.Int4 {
-				keys = b.Vecs[lcol].Ints
-			}
-			err := forLive(b, func(row int) error {
-				key := int32(0)
-				if keys != nil {
-					key = keys[row]
-				}
-				store, start, cnt := ht.ProbeKey(key)
+			err = forLive(b, func(row int) error {
+				store, start, cnt := ht.ProbeKey(keys[row])
 				for m := int32(0); m < cnt; m++ {
 					sc.chargeCPU(emitCPU)
 					out.AppendJoined(b, row, store, int(start+m))
@@ -213,11 +200,101 @@ func (fr *fragRun) compileCol(n plan.Node, cons colConsumer, atRoot bool, need m
 			}
 			return flushOut(sc, cons, out)
 		}
-		return fr.compileCol(x.Left, colConsumer{proc: proc, blocking: cons.blocking}, false, nil)
+		return fr.compileCol(x.Left, colConsumer{proc: proc, blocking: cons.blocking}, false)
 
 	default:
 		return colConsumer{}, fmt.Errorf("exec: cannot compile node %T", n)
 	}
+}
+
+// buildFragOf returns the fragment that builds a decomposed HashJoin's
+// table.
+func buildFragOf(x *plan.HashJoin) (*plan.Fragment, error) {
+	fs, ok := x.Right.(*plan.FragScan)
+	if !ok {
+		return nil, fmt.Errorf("exec: HashJoin build side is %T, want FragScan (decompose first)", x.Right)
+	}
+	return fs.Frag, nil
+}
+
+// probeInput resolves a probe batch's hash table and int4 key vector.
+func (fr *fragRun) probeInput(buildFrag *plan.Fragment, lcol int, b *storage.ColBatch) (*ColHashTable, []int32, error) {
+	ht := fr.hashes[buildFrag]
+	if ht == nil {
+		return nil, nil, fmt.Errorf("exec: hash table for fragment f%d not built", buildFrag.ID)
+	}
+	if lcol < 0 || lcol >= len(b.Vecs) {
+		return nil, nil, fmt.Errorf("exec: probe column %d out of range (tuple has %d)", lcol, len(b.Vecs))
+	}
+	if b.Vecs[lcol].Typ != storage.Int4 || b.Vecs[lcol].Ints == nil {
+		return nil, nil, &KeyTypeError{Side: "probe", Col: lcol}
+	}
+	return ht, b.Vecs[lcol].Ints, nil
+}
+
+// compileProbeFold fuses a hash probe into the root aggregate directly
+// above it (plan.ProbeAgg: the aggregate reads only probe columns once
+// the build key is read as the probe key). A probe row with cnt matches
+// folds once with multiplicity cnt, and no joined row is ever built.
+//
+// The clock charges replay the unfused pipeline exactly: the probe
+// charge for the whole batch up front, one quantized emit charge per
+// match, and the aggregate's per-row fold charge for n matches each
+// time n matches fill an output batch (emitLimit) and once for the
+// remainder at the end of the batch. The debt therefore crosses the
+// charge quantum at the same points, and virtual time is identical.
+func (fr *fragRun) compileProbeFold(x *plan.HashJoin) (colConsumer, error) {
+	buildFrag, err := buildFragOf(x)
+	if err != nil {
+		return colConsumer{}, err
+	}
+	probeCPU := fr.eng.Params.HashProbeCPU
+	emitCPU := fr.eng.Params.EmitCPU
+	foldCPU := fr.eng.Params.HashInsertCPU
+	// The aggregate never blocks, so the unfused probe would flush at
+	// the engine batch size.
+	limit := fr.eng.batchSize()
+	proc := func(sc *slaveCtx, b *storage.ColBatch) error {
+		live := b.Live()
+		if live == 0 {
+			return nil
+		}
+		ht, keys, err := fr.probeInput(buildFrag, x.LCol, b)
+		if err != nil {
+			return err
+		}
+		sc.chargeCPUPer(probeCPU, live)
+		f := sc.aggFolder(fr.agg, b)
+		pending := 0
+		foldRow := func(row int) {
+			_, _, cnt := ht.ProbeKey(keys[row])
+			if cnt == 0 {
+				return
+			}
+			f.fold(sc, row, int64(cnt))
+			for m := int32(0); m < cnt; m++ {
+				sc.chargeCPU(emitCPU)
+				if pending++; pending == limit {
+					sc.chargeCPUPer(foldCPU, pending)
+					pending = 0
+				}
+			}
+		}
+		if b.Sel == nil {
+			for row := 0; row < b.N; row++ {
+				foldRow(row)
+			}
+		} else {
+			for _, row := range b.Sel {
+				foldRow(int(row))
+			}
+		}
+		if pending > 0 {
+			sc.chargeCPUPer(foldCPU, pending)
+		}
+		return nil
+	}
+	return fr.compileCol(x.Left, colConsumer{proc: proc}, false)
 }
 
 // flushOut hands an emitting operator's pending output to its consumer
@@ -288,7 +365,7 @@ func (sc *slaveCtx) selectRows(slot int, chain []expr.ColPred, b *storage.ColBat
 // joined with the outer row into a candidate batch, the join predicate
 // selects from it, and the survivors are emitted — the same emissions,
 // in the same order, that a row-at-a-time loop would make.
-func (fr *fragRun) compileNestLoop(x *plan.NestLoop, cons colConsumer, need map[int]bool) (colConsumer, error) {
+func (fr *fragRun) compileNestLoop(x *plan.NestLoop, cons colConsumer) (colConsumer, error) {
 	rescan, err := fr.compileColRescan(x.Inner)
 	if err != nil {
 		return colConsumer{}, err
@@ -297,7 +374,7 @@ func (fr *fragRun) compileNestLoop(x *plan.NestLoop, cons colConsumer, need map[
 	emitCPU := fr.eng.Params.EmitCPU
 	rescanCPU := fr.eng.Params.RescanSetupCPU
 	outSchema := x.OutSchema()
-	prune := pruneFor(outSchema, need)
+	prune := pruneFor(outSchema, x.Need)
 	outSlot, candSlot, selSlot := fr.newColOut(), fr.newColOut(), fr.newSel()
 	limit := fr.emitLimit(cons)
 	outer := colConsumer{blocking: true, proc: func(sc *slaveCtx, b *storage.ColBatch) error {
@@ -340,7 +417,7 @@ func (fr *fragRun) compileNestLoop(x *plan.NestLoop, cons colConsumer, need map[
 		}
 		return err
 	}}
-	return fr.compileCol(x.Outer, outer, false, nil)
+	return fr.compileCol(x.Outer, outer, false)
 }
 
 // innerEmit receives one batch of a nestloop inner rescan together with

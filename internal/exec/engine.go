@@ -192,20 +192,10 @@ func (e *Engine) colPoolFor(sig uint64) *sync.Pool {
 }
 
 // getColBatch hands out an owned, empty columnar batch shaped for the
-// schema with at least capRows of row capacity.
-func (e *Engine) getColBatch(s storage.Schema, capRows int) *storage.ColBatch {
-	if v := e.colPoolFor(sigOfSchema(s, nil)).Get(); v != nil {
-		b := v.(*storage.ColBatch)
-		b.Init(s, capRows)
-		return b
-	}
-	return storage.NewColBatch(s, capRows)
-}
-
-// getColBatchPruned is getColBatch for a projection output: the listed
-// columns (ascending) come out pruned, with no storage allocated for
-// them.
-func (e *Engine) getColBatchPruned(s storage.Schema, capRows int, prune []int) *storage.ColBatch {
+// schema with at least capRows of row capacity. The columns listed in
+// prune (ascending; nil for none) come out pruned, with no storage
+// allocated for them.
+func (e *Engine) getColBatch(s storage.Schema, capRows int, prune []int) *storage.ColBatch {
 	if v := e.colPoolFor(sigOfSchema(s, prune)).Get(); v != nil {
 		b := v.(*storage.ColBatch)
 		b.InitPruned(s, capRows, prune)

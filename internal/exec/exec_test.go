@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -637,5 +638,42 @@ func TestAggGlobalEmptyInput(t *testing.T) {
 	// reports an empty grouping, which the facade can interpret).
 	if got := rep.Results[g.Root.ID].Len(); got != 0 {
 		t.Fatalf("rows = %d", got)
+	}
+}
+
+// TestProbeColumnNotInt4 hand-builds fragment graphs whose probe column
+// is text (Decompose rejects such joins, so SQL never reaches this):
+// both the emitting probe and the probe fused into a root aggregate
+// must fail with a KeyTypeError rather than probe with key 0, which
+// would silently match the key-0 group.
+func TestProbeColumnNotInt4(t *testing.T) {
+	for _, fused := range []bool{false, true} {
+		v, eng := testEngine(0)
+		l := buildRel(t, eng.Store, "tl", 50, 10, 8)
+		r := buildRel(t, eng.Store, "tr", 20, 10, 8)
+		build := &plan.Fragment{ID: 0, Root: &plan.SeqScan{Rel: r}, Out: plan.HashOut, HashCol: 0}
+		var root plan.Node = &plan.HashJoin{
+			Left:  &plan.SeqScan{Rel: l},
+			Right: &plan.FragScan{Frag: build, Schema: r.Schema},
+			LCol:  1, RCol: 0,
+		}
+		if fused {
+			root = &plan.Agg{Child: root, GroupCol: 0, Funcs: []plan.AggFunc{{Kind: plan.CountAll}}}
+		}
+		probe := &plan.Fragment{ID: 1, Root: root, Inputs: []*plan.Fragment{build}, Out: plan.RootOut}
+		g := &plan.Graph{Fragments: []*plan.Fragment{build, probe}, Root: probe}
+		ests, err := cost.EstimateGraph(eng.Params, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs, err := QueryTasks(g, ests, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Run(func() { _, err = eng.Run(specs, core.InterAdj, core.Options{}) })
+		var kerr *KeyTypeError
+		if !errors.As(err, &kerr) || *kerr != (KeyTypeError{Side: "probe", Col: 1}) {
+			t.Fatalf("fused=%v: error = %v, want a probe KeyTypeError on column 1", fused, err)
+		}
 	}
 }

@@ -115,7 +115,7 @@ func (s *relSource) fetchCols(sc *slaveCtx, p int64) (*storage.ColBatch, error) 
 	var err error
 	if s.rel.Synthetic() {
 		if sc.colPageBuf == nil {
-			sc.colPageBuf = s.fr.eng.getColBatch(s.rel.Schema, s.fr.eng.batchSize())
+			sc.colPageBuf = s.fr.eng.getColBatch(s.rel.Schema, s.fr.eng.batchSize(), nil)
 		} else {
 			// Init rather than Reset: the buffer survives in the pooled
 			// slave context across fragments with different schemas, and

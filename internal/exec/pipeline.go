@@ -50,6 +50,7 @@ type fragRun struct {
 	// rebind). aggNode remembers the root Agg so a fresh accumulator state
 	// can be built per run.
 	outSchema storage.Schema
+	hashPrune []int
 	hashParts int
 	aggNode   *plan.Agg
 
@@ -139,13 +140,14 @@ func newFragRun(eng *Engine, frag *plan.Fragment, temps map[*plan.Fragment]*Temp
 			parts = DefaultHashPartitions
 		}
 		fr.hashParts = parts
-		fr.outHash = NewColHashTable(eng, fr.outSchema, frag.HashCol, parts, eng.Env.NProcs)
+		fr.hashPrune = pruneFor(fr.outSchema, frag.Need)
+		fr.outHash = newColHashTable(eng, fr.outSchema, frag.HashCol, fr.hashPrune, parts, eng.Env.NProcs)
 	default:
 		fr.outTemp = NewTemp(fr.outSchema)
 		fr.outTemp.sortProcs = eng.Env.NProcs
 	}
 	fr.drvSlot = fr.newColOut()
-	root, err := fr.compileCol(frag.Root, fr.compileColSink(), true, nil)
+	root, err := fr.compileCol(frag.Root, fr.compileColSink(), true)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +164,7 @@ func (fr *fragRun) rebind(temps map[*plan.Fragment]*Temp, hashes map[*plan.Fragm
 	fr.temps, fr.hashes = temps, hashes
 	switch fr.frag.Out {
 	case plan.HashOut:
-		fr.outHash = NewColHashTable(fr.eng, fr.outSchema, fr.frag.HashCol, fr.hashParts, fr.eng.Env.NProcs)
+		fr.outHash = newColHashTable(fr.eng, fr.outSchema, fr.frag.HashCol, fr.hashPrune, fr.hashParts, fr.eng.Env.NProcs)
 	default:
 		fr.outTemp = NewTemp(fr.outSchema)
 		fr.outTemp.sortProcs = fr.eng.Env.NProcs

@@ -429,7 +429,7 @@ func (sc *slaveCtx) colOutBatch(slot int, eng *Engine, s storage.Schema, prune [
 		sc.colOuts = append(sc.colOuts, nil)
 	}
 	if sc.colOuts[slot] == nil {
-		sc.colOuts[slot] = eng.getColBatchPruned(s, eng.batchSize(), prune)
+		sc.colOuts[slot] = eng.getColBatch(s, eng.batchSize(), prune)
 	}
 	return sc.colOuts[slot]
 }

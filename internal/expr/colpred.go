@@ -3,6 +3,8 @@ package expr
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"slices"
 
 	"xprs/internal/storage"
 )
@@ -245,7 +247,57 @@ func checkInt4Col(b *storage.ColBatch, idx int, constLeft bool) error {
 	return nil
 }
 
+// int4Range maps "col OP k" onto an unsigned range test: a value v
+// passes when (uint32(v-lo) <= span) differs from neg. Subtracting lo
+// and comparing unsigned folds both bounds of a signed range into one
+// comparison; NE is the negated point range, and a comparison no value
+// can pass (x < MinInt32, x > MaxInt32) is the negated full range. ok
+// is false for an unknown operator.
+func int4Range(op CmpOp, k int32) (lo int32, span uint32, neg int, ok bool) {
+	switch op {
+	case EQ:
+		return k, 0, 0, true
+	case NE:
+		return k, 0, 1, true
+	case LT:
+		if k == math.MinInt32 {
+			return math.MinInt32, math.MaxUint32, 1, true
+		}
+		return math.MinInt32, uint32(k-1) + 1<<31, 0, true
+	case LE:
+		return math.MinInt32, uint32(k) + 1<<31, 0, true
+	case GT:
+		if k == math.MaxInt32 {
+			return math.MinInt32, math.MaxUint32, 1, true
+		}
+		return k + 1, uint32(math.MaxInt32) - uint32(k+1), 0, true
+	case GE:
+		return k, uint32(math.MaxInt32) - uint32(k), 0, true
+	default:
+		return 0, 0, 0, false
+	}
+}
+
+// b2i converts a comparison result to 0 or 1 without a branch (the
+// compiler lowers it to a flag-setting instruction).
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// selGrow extends out by n writable slots for a branch-free selection
+// loop, which writes every candidate row index and advances only past
+// those that pass: the loop body has no data-dependent branch, so a
+// 50%-selective predicate on shuffled keys costs no mispredictions.
+func selGrow(out []int32, n int) (base, buf []int32) {
+	out = slices.Grow(out, n)
+	return out, out[len(out) : len(out)+n]
+}
+
 func colConstColPred(op CmpOp, idx int, k int32, constLeft bool) ColPred {
+	lo, span, neg, known := int4Range(op, k)
 	return func(b *storage.ColBatch, sel []int32, out []int32) ([]int32, error) {
 		if b.N == 0 && sel == nil || sel != nil && len(sel) == 0 {
 			return out, nil
@@ -253,101 +305,54 @@ func colConstColPred(op CmpOp, idx int, k int32, constLeft bool) ColPred {
 		if err := checkInt4Col(b, idx, constLeft); err != nil {
 			return out, err
 		}
-		col := b.Vecs[idx].Ints
-		// One tight loop per operator; the branch on op is hoisted out.
-		switch op {
-		case EQ:
-			if sel == nil {
-				for i, v := range col {
-					if v == k {
-						out = append(out, int32(i))
-					}
-				}
-			} else {
-				for _, r := range sel {
-					if col[r] == k {
-						out = append(out, r)
-					}
-				}
-			}
-		case NE:
-			if sel == nil {
-				for i, v := range col {
-					if v != k {
-						out = append(out, int32(i))
-					}
-				}
-			} else {
-				for _, r := range sel {
-					if col[r] != k {
-						out = append(out, r)
-					}
-				}
-			}
-		case LT:
-			if sel == nil {
-				for i, v := range col {
-					if v < k {
-						out = append(out, int32(i))
-					}
-				}
-			} else {
-				for _, r := range sel {
-					if col[r] < k {
-						out = append(out, r)
-					}
-				}
-			}
-		case LE:
-			if sel == nil {
-				for i, v := range col {
-					if v <= k {
-						out = append(out, int32(i))
-					}
-				}
-			} else {
-				for _, r := range sel {
-					if col[r] <= k {
-						out = append(out, r)
-					}
-				}
-			}
-		case GT:
-			if sel == nil {
-				for i, v := range col {
-					if v > k {
-						out = append(out, int32(i))
-					}
-				}
-			} else {
-				for _, r := range sel {
-					if col[r] > k {
-						out = append(out, r)
-					}
-				}
-			}
-		case GE:
-			if sel == nil {
-				for i, v := range col {
-					if v >= k {
-						out = append(out, int32(i))
-					}
-				}
-			} else {
-				for _, r := range sel {
-					if col[r] >= k {
-						out = append(out, r)
-					}
-				}
-			}
-		default:
+		if !known {
 			return out, fmt.Errorf("expr: unknown comparison %v", op)
 		}
-		return out, nil
+		col := b.Vecs[idx].Ints
+		j := 0
+		if sel == nil {
+			var buf []int32
+			out, buf = selGrow(out, len(col))
+			for i, v := range col {
+				buf[j] = int32(i)
+				j += b2i(uint32(v-lo) <= span) ^ neg
+			}
+		} else {
+			var buf []int32
+			out, buf = selGrow(out, len(sel))
+			for _, r := range sel {
+				buf[j] = r
+				j += b2i(uint32(col[r]-lo) <= span) ^ neg
+			}
+		}
+		return out[:len(out)+j], nil
+	}
+}
+
+// cmpMask encodes which three-way comparison outcomes satisfy op: bit 0
+// for less, bit 1 for equal, bit 2 for greater. ok is false for an
+// unknown operator.
+func cmpMask(op CmpOp) (mask int, ok bool) {
+	switch op {
+	case EQ:
+		return 0b010, true
+	case NE:
+		return 0b101, true
+	case LT:
+		return 0b001, true
+	case LE:
+		return 0b011, true
+	case GT:
+		return 0b100, true
+	case GE:
+		return 0b110, true
+	default:
+		return 0, false
 	}
 }
 
 func colColColPred(op CmpOp, li, ri int) ColPred {
+	mask, known := cmpMask(op)
 	return func(b *storage.ColBatch, sel []int32, out []int32) ([]int32, error) {
 		if b.N == 0 && sel == nil || sel != nil && len(sel) == 0 {
 			return out, nil
@@ -362,30 +367,39 @@ func colColColPred(op CmpOp, li, ri int) ColPred {
 		if l.Typ != r.Typ {
 			return out, fmt.Errorf("expr: comparing %v with %v", l.Typ, r.Typ)
 		}
+		if !known {
+			return out, fmt.Errorf("expr: unknown comparison %v", op)
+		}
 		n := b.N
 		if sel != nil {
 			n = len(sel)
 		}
-		for pos := 0; pos < n; pos++ {
-			row := pos
-			if sel != nil {
-				row = int(sel[pos])
+		// holds maps a three-way comparison (-1, 0, 1) to 0 or 1.
+		holds := func(cmp int) int { return mask >> (cmp + 1) & 1 }
+		var buf []int32
+		out, buf = selGrow(out, n)
+		j := 0
+		if l.Typ == storage.Int4 {
+			lv, rv := l.Ints, r.Ints
+			for pos := 0; pos < n; pos++ {
+				row := int32(pos)
+				if sel != nil {
+					row = sel[pos]
+				}
+				buf[j] = row
+				j += holds(b2i(lv[row] > rv[row]) - b2i(lv[row] < rv[row]))
 			}
-			var cmp int
-			if l.Typ == storage.Int4 {
-				cmp = int(l.Ints[row]) - int(r.Ints[row])
-			} else {
-				cmp = bytes.Compare(l.Bytes(row), r.Bytes(row))
-			}
-			ok, err := cmpHolds(op, cmp)
-			if err != nil {
-				return out, err
-			}
-			if ok {
-				out = append(out, int32(row))
+		} else {
+			for pos := 0; pos < n; pos++ {
+				row := int32(pos)
+				if sel != nil {
+					row = sel[pos]
+				}
+				buf[j] = row
+				j += holds(bytes.Compare(l.Bytes(int(row)), r.Bytes(int(row))))
 			}
 		}
-		return out, nil
+		return out[:len(out)+j], nil
 	}
 }
 
@@ -403,25 +417,6 @@ func swapOp(op CmpOp) CmpOp {
 		return LE
 	default: // EQ, NE are symmetric
 		return op
-	}
-}
-
-func cmpHolds(op CmpOp, cmp int) (bool, error) {
-	switch op {
-	case EQ:
-		return cmp == 0, nil
-	case NE:
-		return cmp != 0, nil
-	case LT:
-		return cmp < 0, nil
-	case LE:
-		return cmp <= 0, nil
-	case GT:
-		return cmp > 0, nil
-	case GE:
-		return cmp >= 0, nil
-	default:
-		return false, fmt.Errorf("expr: unknown comparison %v", op)
 	}
 }
 

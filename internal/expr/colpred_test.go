@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -202,6 +203,65 @@ func TestColPredDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestColPredInt4Extremes pins the branch-free range kernels at the
+// edges of int4, where the unsigned range mapping wraps: every operator,
+// constant on either side, against the row evaluator.
+func TestColPredInt4Extremes(t *testing.T) {
+	edges := []int32{math.MinInt32, math.MinInt32 + 1, -1, 0, 1, math.MaxInt32 - 1, math.MaxInt32}
+	s := storage.NewSchema(storage.Column{Name: "a", Typ: storage.Int4}, storage.Column{Name: "b", Typ: storage.Int4})
+	var rows []storage.Tuple
+	for _, a := range edges {
+		for _, b := range edges {
+			rows = append(rows, storage.NewTuple(storage.IntVal(a), storage.IntVal(b)))
+		}
+	}
+	cb := toColBatch(s, rows)
+	rng := rand.New(rand.NewSource(7))
+	for op := EQ; op <= GE; op++ {
+		exprs := []Expr{Cmp{Op: op, L: Col{Idx: 0}, R: Col{Idx: 1}}}
+		for _, k := range edges {
+			kc := Const{Val: storage.IntVal(k)}
+			exprs = append(exprs, Cmp{Op: op, L: Col{Idx: 0}, R: kc}, Cmp{Op: op, L: kc, R: Col{Idx: 0}})
+		}
+		for _, e := range exprs {
+			for mode := 0; mode < 4; mode++ {
+				sel := selOfDensity(rng, len(rows), mode)
+				want, err := rowReference(e, rows, sel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := CompileColPred(e)(cb, sel, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !selsEqual(want, got) {
+					t.Fatalf("%s mode %d: row %v, col %v", e, mode, want, got)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkColRangeShuffled times a 50%-selective BETWEEN over shuffled
+// keys, the shape whose branchy form mispredicts on every other row.
+func BenchmarkColRangeShuffled(b *testing.B) {
+	const n = 4096
+	s := storage.NewSchema(storage.Column{Name: "a", Typ: storage.Int4})
+	cb := storage.NewColBatch(s, n)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < n; i++ {
+		cb.AppendTuple(storage.NewTuple(storage.IntVal(int32(rng.Intn(9000)))))
+	}
+	chain := CompileColPredChain(ColRange(0, "a", 0, 4499))
+	var x, y []int32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x, _ = chain[0](cb, nil, x[:0])
+		y, _ = chain[1](cb, x, y[:0])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 }
 
 // TestColPredChainDifferential pins the executor-facing AND-chain API to

@@ -56,6 +56,11 @@ type Fragment struct {
 	// executor's batch size it is purely a wall-clock knob: results and
 	// virtual-clock totals are independent of its value.
 	HashParts int
+	// Need marks, per output column, whether the probe consuming this
+	// fragment's hash table reads it; nil means every column is read.
+	// Decompose stamps it (see need.go) and the executor never stores
+	// an unmarked column in the table.
+	Need []bool
 }
 
 // SuggestHashParts picks a build-side partition count from the estimated
@@ -101,6 +106,7 @@ func Decompose(root Node) (*Graph, error) {
 		return nil, err
 	}
 	g.Root = f
+	g.stampNeeds()
 	return g, nil
 }
 

@@ -104,6 +104,9 @@ func (s *FragScan) Label() string { return fmt.Sprintf("FragScan(f%d)", s.Frag.I
 type NestLoop struct {
 	Outer, Inner Node
 	Pred         expr.Expr // over the concatenated (outer, inner) schema
+	// Need marks the output columns the consumer reads (nil: all);
+	// Decompose stamps it and the executor emits only those.
+	Need []bool
 }
 
 // OutSchema implements Node.
@@ -127,6 +130,9 @@ func (j *NestLoop) Label() string {
 type HashJoin struct {
 	Left, Right Node
 	LCol, RCol  int
+	// Need marks the output columns the consumer reads (nil: all);
+	// Decompose stamps it and the executor emits only those.
+	Need []bool
 }
 
 // OutSchema implements Node.
